@@ -1,7 +1,8 @@
 # CI entry points. `make ci` is the gate: the static protocol lint, vet,
 # build, race-enabled tests (which include the allocs/op regression tests
 # in allocs_test.go, so a fast-path allocation regression fails here, not
-# just in benchmark output), a bounded native-fuzz pass over the dispatch
+# just in benchmark output), the byte-identical experiment tables
+# (exp-golden), a bounded native-fuzz pass over the dispatch
 # path, the coverage floor for the runtime-critical packages, then the
 # fast-path benchmarks with allocation reporting.
 
@@ -20,9 +21,9 @@ COVER_PKGS  := ./internal/core ./internal/queue
 # Bounded fuzz budget for CI. `make fuzz FUZZTIME=5m` explores for real.
 FUZZTIME ?= 10s
 
-.PHONY: ci lint lock-table-check escape-gate vet build test race fuzz-smoke fuzz cover allocs-gate serve-smoke serving-smoke bench-fastpath bench-batch bench bench-serve bench-scale bench-serving bench-telemetry bench-update
+.PHONY: ci lint lock-table-check escape-gate vet build test race fuzz-smoke fuzz cover allocs-gate exp-golden serve-smoke serving-smoke bench-fastpath bench-batch bench bench-serve bench-scale bench-serving bench-telemetry bench-update
 
-ci: lint lock-table-check escape-gate vet build race allocs-gate fuzz-smoke serve-smoke serving-smoke cover bench-fastpath bench-batch bench-update bench-serving
+ci: lint lock-table-check escape-gate vet build race allocs-gate exp-golden fuzz-smoke serve-smoke serving-smoke cover bench-fastpath bench-batch bench-update bench-serving
 
 # Static whole-program check (protocol rules + lockorder + atomics) over
 # the whole module (./... skips the linter's own testdata fixtures by
@@ -52,6 +53,22 @@ escape-gate:
 
 vet:
 	$(GO) vet ./...
+
+# The paper's tables and figures must not move under a refactor: every
+# deterministic experiment is regenerated and diffed byte for byte against
+# the committed golden. F10 is excluded because it reports wall-clock
+# speedups of the goroutine backend, which differ from run to run (two
+# runs of the same commit differed only in F10). Regenerate the golden
+# only for a change that means to alter the numbers:
+#   go run ./cmd/dttbench -exp $(EXP_GOLDEN_IDS) > $(EXP_GOLDEN)
+EXP_GOLDEN_IDS := T1,T2,T3,T4,F1,F2,F3,F4,F5,F6,F7,F8,F9,F11,F12,F13,F14
+EXP_GOLDEN     := internal/harness/testdata/exp_golden.txt
+exp-golden:
+	@$(GO) run ./cmd/dttbench -exp $(EXP_GOLDEN_IDS) > .exp-golden.tmp || { rm -f .exp-golden.tmp; exit 1; }
+	@diff -u $(EXP_GOLDEN) .exp-golden.tmp \
+		|| { rm -f .exp-golden.tmp; echo "dttbench -exp output differs from $(EXP_GOLDEN)"; exit 1; }
+	@rm -f .exp-golden.tmp
+	@echo "exp-golden: $(EXP_GOLDEN_IDS) match $(EXP_GOLDEN)"
 
 build:
 	$(GO) build ./...

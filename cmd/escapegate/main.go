@@ -50,6 +50,7 @@ var pinned = map[string][]string{
 		"Region.TStoreRange",
 		"Region.TUpdate",
 		"Region.TUpdateBatch",
+		"Runtime.admitLocked",
 		"Runtime.tstore",
 		"Runtime.tstoreBatch",
 	},

@@ -32,14 +32,17 @@
 // trigger and the matching Wait or Barrier; that is the paper's
 // synchronisation discipline, enforced by convention here as there.
 //
-// Four backends cover different uses: BackendImmediate executes support
-// threads on a goroutine pool (real parallelism; use this in programs);
-// BackendDeferred runs them inline at Wait (pure redundancy elimination,
-// deterministic, good for tests); BackendRecorded additionally captures a
-// task DAG for the timing simulator in internal/sim (used by the paper's
-// experiments — see cmd/dttbench); BackendSeeded dispatches instances at
-// seed-chosen points on a single goroutine, so any interleaving it explores
-// can be replayed exactly from its Config.SchedSeed.
+// Two execution models cover different uses. The concurrent model,
+// BackendImmediate, executes support threads on a goroutine pool (real
+// parallelism; use this in programs). The inline model runs queued
+// instances on the goroutine that reaches Wait or Barrier (pure redundancy
+// elimination, deterministic, good for tests), in one of three forms:
+// BackendDeferred runs them in FIFO order; BackendRecorded does the same
+// and captures a task DAG for the timing simulator in internal/sim (used
+// by the paper's experiments — see cmd/dttbench); BackendSeeded lets a
+// seeded scheduler pick the order and also dispatch at triggering stores,
+// so any interleaving it explores can be replayed exactly from its
+// Config.SchedSeed.
 //
 // # Protocol sanitizer
 //

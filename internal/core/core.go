@@ -10,22 +10,26 @@
 // subject to duplicate squashing. The main thread consumes support-thread
 // results after Wait (the paper's twait) or Barrier (tbarrier).
 //
-// Three execution backends cover the evaluation space:
+// Two execution models cover the evaluation space; Config.Backend selects
+// one, and for the inline model its order and whether it records:
 //
-//   - BackendImmediate runs support threads on a pool of goroutines,
-//     modelling spare hardware contexts with real parallelism. This is the
-//     software-DTT configuration and what examples use.
-//   - BackendDeferred runs queued instances inline at Wait/Barrier: all
-//     redundancy elimination, no parallelism. It is the ablation that
-//     separates the paper's two benefit channels.
-//   - BackendRecorded is BackendDeferred plus task-DAG recording through a
-//     trace.Recorder, feeding the SMT timing simulator.
-//   - BackendSeeded runs queued instances on the calling goroutine like
-//     BackendDeferred, but lets a seeded deterministic scheduler
-//     (internal/sched) choose when and in what order they dispatch. Every
-//     interleaving it produces is legal under the paper's model, and the
-//     same seed replays the same interleaving — the backend exists to
-//     drive the protocol sanitizer through many schedules reproducibly.
+//   - The concurrent model (BackendImmediate) runs support threads on a
+//     pool of goroutines, modelling spare hardware contexts with real
+//     parallelism. This is the software-DTT configuration and what
+//     examples use.
+//   - The inline model runs queued instances on the calling goroutine, in
+//     one dispatch loop, at Wait/Barrier: all redundancy elimination, no
+//     parallelism. It is the ablation that separates the paper's two
+//     benefit channels. The paper leaves the order of queued instances
+//     open up to twait/tbarrier, so the loop's pick is pluggable: FIFO
+//     (BackendDeferred), or a seeded deterministic scheduler
+//     (internal/sched, BackendSeeded) that chooses which instance runs
+//     next and also dispatches at triggering stores. Every interleaving it
+//     produces is legal under the paper's model and the same seed replays
+//     it, so it drives the protocol sanitizer through many schedules
+//     reproducibly. BackendRecorded is the FIFO order plus task-DAG
+//     recording through a trace.Recorder, feeding the SMT timing
+//     simulator.
 package core
 
 import (
@@ -63,19 +67,19 @@ type Backend int
 
 // Backends.
 const (
-	// BackendDeferred queues instances and runs them inline at
-	// Wait/Barrier on the calling goroutine.
+	// BackendDeferred selects the inline model in FIFO order: instances
+	// queue and run at Wait/Barrier on the calling goroutine.
 	BackendDeferred Backend = iota
-	// BackendImmediate dispatches instances to a worker pool as soon as
-	// they are enqueued.
+	// BackendImmediate selects the concurrent model: a worker pool
+	// dispatches instances as soon as they are enqueued.
 	BackendImmediate
 	// BackendRecorded behaves like BackendDeferred and records the task
 	// DAG into Config.Recorder.
 	BackendRecorded
-	// BackendSeeded dispatches queued instances on the calling goroutine
-	// at seed-chosen preemption points and in seed-chosen order. Given the
-	// same program and the same Config.SchedSeed the interleaving is
-	// exactly reproducible.
+	// BackendSeeded selects the inline model with a seeded pick: queued
+	// instances run on the calling goroutine at seed-chosen preemption
+	// points and in seed-chosen order. Given the same program and the same
+	// Config.SchedSeed the interleaving is exactly reproducible.
 	BackendSeeded
 )
 
@@ -131,11 +135,10 @@ type Config struct {
 	// run tokens are split across. Thread t lives in shard t mod Shards;
 	// stores triggering threads in different shards enqueue under
 	// different locks and scale across producer cores. Values are rounded
-	// up to a power of two. The default is 1 for the single-goroutine
-	// backends (deferred, recorded, seeded) — keeping their drain and
-	// replay order bit-identical to the unsharded runtime — and the
-	// smallest power of two >= GOMAXPROCS (at most 64) for
-	// BackendImmediate.
+	// up to a power of two. The default is 1 for the inline model
+	// (deferred, recorded, seeded) — keeping its drain and replay order
+	// bit-identical to the unsharded runtime — and the smallest power of
+	// two >= GOMAXPROCS (at most 64) for BackendImmediate.
 	Shards int
 	// Dedup selects the duplicate-squashing policy. Defaults to the
 	// paper's per-address squashing.
@@ -189,14 +192,7 @@ func (c *Config) applyDefaults() {
 		c.QueueCapacity = 64
 	}
 	if c.Shards <= 0 {
-		if c.Backend == BackendImmediate {
-			c.Shards = ceilPow2(runtime.GOMAXPROCS(0))
-			if c.Shards > 64 {
-				c.Shards = 64
-			}
-		} else {
-			c.Shards = 1
-		}
+		c.Shards = defaultWidth(c.Backend == BackendImmediate)
 	} else {
 		c.Shards = ceilPow2(c.Shards)
 		if c.Shards > 1024 {
@@ -209,6 +205,18 @@ func (c *Config) applyDefaults() {
 	if c.MetricsAddr != "" {
 		c.Telemetry = true
 	}
+}
+
+// defaultWidth is the default number of dispatch shards and of update-plane
+// stripes. The concurrent model gets GOMAXPROCS rounded up to a power of
+// two, capped at 64, so producers on every core find their own lock. The
+// inline model gets 1, which keeps its drain order and its merge-time
+// folding order exact.
+func defaultWidth(concurrent bool) int {
+	if !concurrent {
+		return 1
+	}
+	return min(ceilPow2(runtime.GOMAXPROCS(0)), 64)
 }
 
 // ceilPow2 returns the smallest power of two >= n (n >= 1).

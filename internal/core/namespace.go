@@ -184,7 +184,7 @@ func (ns *Namespace) Close() {
 	// Cancel squashed everything pending, so the drain only ever waits for
 	// the (at most one, per thread) instance that was already executing.
 	for _, t := range owned {
-		ns.rt.drainThread(t)
+		ns.rt.waitQuiet(t)
 	}
 	// Retire and free under rt.mu: retirement mutates the free-ID list and
 	// region release prunes the merge set and the arena, both rt.mu-guarded.

@@ -177,7 +177,7 @@ type Runtime struct {
 	workerWake []chan struct{}
 
 	// release maps a pending queue entry to the trace task that released
-	// it (BackendRecorded only). Guarded by relMu, a leaf lock.
+	// it (only with a Recorder). Guarded by relMu, a leaf lock.
 	relMu   sync.Mutex
 	release map[releaseKey]trace.TaskID //dtt:guards relMu
 
@@ -188,10 +188,17 @@ type Runtime struct {
 	// CheckOff. It carries its own lock and never calls back into the
 	// runtime, so it may be invoked with or without runtime locks held.
 	check *sanitize.Checker
-	// sched drives BackendSeeded's dispatch decisions; nil otherwise.
-	// Only the runtime's single driving goroutine consults it.
+	// concurrent selects the execution model, derived from Config.Backend
+	// once in New: true runs support threads on the worker pool
+	// (BackendImmediate), false runs them inline on the goroutine that
+	// reaches a Wait, a Barrier or a seeded preemption point (see drain).
+	concurrent bool
+	// sched, when non-nil (BackendSeeded), replaces the inline model's FIFO
+	// pick with seeded choices and makes every triggering store a
+	// preemption point. Only the runtime's single driving goroutine
+	// consults it.
 	sched *sched.Scheduler
-	// elig is the reusable eligible-entry scratch for seeded dispatch.
+	// elig is the reusable eligible-entry scratch for the seeded pick.
 	// Only the single driving goroutine touches it, with all shard locks
 	// held.
 	elig []eligRef
@@ -229,7 +236,7 @@ type Runtime struct {
 	stats statsCounters
 }
 
-// eligRef locates one dispatch-eligible queue entry for the seeded backend:
+// eligRef locates one dispatch-eligible queue entry for the seeded pick:
 // queue index idx of shard shard.
 type eligRef struct {
 	shard, idx int
@@ -275,10 +282,12 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Checker != CheckOff {
 		rt.check = sanitize.NewChecker()
 	}
+	rt.concurrent = cfg.Backend == BackendImmediate
 	if cfg.Backend == BackendSeeded {
 		rt.sched = sched.New(cfg.SchedSeed)
 	}
-	if cfg.Backend == BackendRecorded {
+	// validate admits a Recorder with BackendRecorded only.
+	if cfg.Recorder != nil {
 		rt.release = make(map[releaseKey]trace.TaskID)
 		rt.sys.AttachProbe(cfg.Recorder)
 		if rt.check != nil {
@@ -286,7 +295,7 @@ func New(cfg Config) (*Runtime, error) {
 			rt.check.SetReporter(func(sanitize.Violation) { rec.NoteViolation() })
 		}
 	}
-	if cfg.Backend == BackendImmediate {
+	if rt.concurrent {
 		if rt.sys.Probed() {
 			return nil, fmt.Errorf("core: BackendImmediate cannot run with probes attached; probes are not safe under concurrency")
 		}
@@ -520,18 +529,20 @@ func (rt *Runtime) retireThreadLocked(t ThreadID) bool {
 	return true
 }
 
-// drainThread blocks until thread t has no pending or running instance:
-// the quiescence predicate of Wait, without Wait's merge point, join edge
-// or stats. Namespace.Close uses it after Cancel to let an in-flight
-// instance finish before the namespace's regions are freed — a cancelled
-// instance keeps executing against the entries it captured, and a store it
-// issues through a freed region would land in an address range the arena
-// may already have handed to another tenant. On the single-goroutine
-// backends a running instance cannot coexist with the caller, so the
-// predicate holds immediately; on the immediate backend the drain sleeps
-// on t's quiet-waiter channel like Wait does. Must not be called with
-// rt.mu or any shard lock held, nor from a support-thread body of t.
-func (rt *Runtime) drainThread(t ThreadID) {
+// waitQuiet blocks until thread t has no pending or running instance,
+// sleeping on t's quiet-waiter channel: the wakeup predicate is three O(1)
+// checks against t's own shard-local counters — it never scans a queue or
+// touches another shard — and completions of other threads do not wake
+// it. It is the concurrent model's Wait, without Wait's merge point, join
+// edge or stats. Namespace.Close also uses it after Cancel to let an
+// in-flight instance finish before the namespace's regions are freed — a
+// cancelled instance keeps executing against the entries it captured, and
+// a store it issues through a freed region would land in an address range
+// the arena may already have handed to another tenant. On the inline
+// model a running instance cannot coexist with the caller, so the
+// predicate holds immediately. Must not be called with rt.mu or any shard
+// lock held, nor from a support-thread body of t.
+func (rt *Runtime) waitQuiet(t ThreadID) {
 	sh := rt.shardOf(t)
 	sh.mu.Lock()
 	for {
@@ -642,7 +653,7 @@ func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
 	}
 	if !rt.reg.Covers(addr) {
 		if rt.sched != nil {
-			rt.seededPoll()
+			rt.drain(true)
 		}
 		return true
 	}
@@ -658,31 +669,47 @@ func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
 	if rt.sched != nil {
 		// A triggering store is a preemption point: the deterministic
 		// scheduler may dispatch any number of pending instances here.
-		rt.seededPoll()
+		rt.drain(true)
 	}
 	return true
 }
 
-// fireOne dispatches one fired (thread, addr) trigger: it takes the
-// thread's shard lock, re-checks coverage against a racing Cancel, and
-// moves fired plus exactly one decomposition counter in the same critical
-// section, so the Fired = Enqueued + Squashed + Overflowed identity holds
-// under the shard lock at all times. Overflowed triggers under
-// OverflowInline are appended through inline for the caller to run after
-// its dispatch completes — never with a shard lock held. Both the scalar
-// tstore path and the update-merge plane dispatch through here, so merge
-// stores are trigger-identical to scalar triggering stores.
+// fireOne dispatches one fired (thread, addr) trigger under the thread's
+// shard lock (see admitLocked), settling busy, the queue-depth sample and
+// the worker wakeup per entry. Both the scalar tstore path and the
+// update-merge plane dispatch through here, so merge stores are
+// trigger-identical to scalar triggering stores.
 func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) {
 	// The thread table is loaded after the registry snapshot, so an id
 	// the registry knows is always in range here.
 	te := rt.threadsSnap()[id]
 	sh := rt.shardOf(id)
 	sh.mu.Lock()
+	if rt.admitLocked(sh, te, id, addr, g, inline) {
+		sh.busy.Add(1)
+		if rt.tel != nil {
+			rt.tel.Shard(sh.idx).QueueDepth.Observe(int64(sh.tq.Len()))
+		}
+		rt.signalShardLocked(sh)
+	}
+	sh.mu.Unlock()
+}
+
+// admitLocked offers one fired (thread, addr) trigger to the thread's
+// queue segment and reports whether it was enqueued. It re-checks coverage
+// against a racing Cancel, then moves fired plus exactly one of
+// enqueued/squashed/overflowed, so the identity Fired = Enqueued +
+// Squashed + Overflowed holds under the shard lock at all times. An
+// overflow under OverflowInline is appended to inline for the caller to
+// run once it holds no shard lock. busy, the queue-depth sample and the
+// worker wakeup are left to the caller, which settles them per entry
+// (fireOne) or per shard (tstoreBatch). Callers hold sh.mu, the shard of
+// id, whose thread-table entry is te.
+func (rt *Runtime) admitLocked(sh *dispatchShard, te *threadEntry, id queue.ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) bool {
 	if !te.covers(addr) {
 		// A concurrent Cancel detached the range between the registry
 		// snapshot and this shard lock; the trigger never happened.
-		sh.mu.Unlock()
-		return
+		return false
 	}
 	sh.c.fired++
 	if rt.check != nil {
@@ -694,13 +721,9 @@ func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[
 	switch sh.tq.Enqueue(id, addr) {
 	case queue.Enqueued:
 		sh.tqst.MarkPending(id)
-		sh.busy.Add(1)
 		sh.c.enqueued++
-		if rt.tel != nil {
-			rt.tel.Shard(sh.idx).QueueDepth.Observe(int64(sh.tq.Len()))
-		}
 		rt.noteRelease(id, addr)
-		rt.signalShardLocked(sh)
+		return true
 	case queue.Squashed:
 		sh.c.squashed++
 		rt.noteRelease(id, addr)
@@ -712,7 +735,7 @@ func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[
 			sh.c.dropped++
 		}
 	}
-	sh.mu.Unlock()
+	return false
 }
 
 // firedTrigger is one (thread, trigger address) pair a batch collected for
@@ -783,10 +806,11 @@ func (rt *Runtime) putScratch(sc *batchScratch) {
 // documented shard-lock order). Within the critical section each entry
 // still moves fired plus exactly one of enqueued/squashed/overflowed, so
 // the per-shard identity Fired = Enqueued + Squashed + Overflowed holds at
-// every instant, exactly as for scalar tstores; busy and the queue-depth
-// sample settle once per shard rather than once per entry.
+// every instant, exactly as for scalar tstores (both admit through
+// admitLocked); busy and the queue-depth sample settle once per shard
+// rather than once per entry.
 //
-// On the seeded backend the whole batch is a single preemption point at
+// Under a seeded scheduler the whole batch is a single preemption point at
 // its end — the deterministic scheduler cannot observe a half-written
 // span. The scratch comes from rt.batchPool, keeping the steady-state path
 // at 0 allocs/op for silent, squashed and enqueueing batches alike.
@@ -864,35 +888,9 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 			enqueued := 0
 			sh.mu.Lock()
 			for _, ft := range sc.fired {
-				if uint32(ft.id)&rt.shardMask != uint32(s) {
-					continue
-				}
-				if !ths[ft.id].covers(ft.addr) {
-					// A concurrent Cancel detached the range between the
-					// registry snapshot and this shard lock; the trigger
-					// never happened.
-					continue
-				}
-				sh.c.fired++
-				if rt.check != nil {
-					rt.check.OnTrigger(g, ft.id)
-				}
-				switch sh.tq.Enqueue(ft.id, ft.addr) {
-				case queue.Enqueued:
-					sh.tqst.MarkPending(ft.id)
-					sh.c.enqueued++
+				if uint32(ft.id)&rt.shardMask == uint32(s) &&
+					rt.admitLocked(sh, ths[ft.id], ft.id, ft.addr, g, &sc.inline) {
 					enqueued++
-					rt.noteRelease(ft.id, ft.addr)
-				case queue.Squashed:
-					sh.c.squashed++
-					rt.noteRelease(ft.id, ft.addr)
-				case queue.Overflowed:
-					sh.c.overflowed++
-					if rt.cfg.Overflow == queue.OverflowInline {
-						sc.inline = append(sc.inline, queue.Entry{Thread: ft.id, Addr: ft.addr})
-					} else {
-						sh.c.dropped++
-					}
 				}
 			}
 			if enqueued > 0 {
@@ -915,7 +913,7 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 	rt.putScratch(sc)
 	if changed > 0 && rt.sched != nil {
 		// The whole batch is ONE preemption point, at its end.
-		rt.seededPoll()
+		rt.drain(true)
 	}
 	return changed
 }
@@ -1037,9 +1035,9 @@ func (rt *Runtime) quietConfirm() bool {
 }
 
 // noteRelease records the current trace position as the release point of the
-// pending entry for (t, addr). BackendRecorded only.
+// pending entry for (t, addr). Only with a Recorder.
 func (rt *Runtime) noteRelease(t ThreadID, addr mem.Addr) {
-	if rt.release == nil { //dtt:ignore atomics -- nil-gate on a map set once at construction (BackendRecorded); never reassigned
+	if rt.release == nil { //dtt:ignore atomics -- nil-gate on a map set once at construction (with a Recorder); never reassigned
 		return
 	}
 	rt.relMu.Lock()
@@ -1173,91 +1171,6 @@ func (rt *Runtime) invoke(t ThreadID, fn ThreadFunc, tg Trigger) (ok bool) {
 	return true
 }
 
-// eligibleAllLocked collects into rt.elig the (shard, index) pairs of queue
-// entries whose thread has no running instance, shard by shard, oldest
-// first within a shard. With one shard the enumeration order is exactly the
-// queue order, which keeps seeded replay identical to the unsharded
-// runtime. Callers hold every shard lock.
-func (rt *Runtime) eligibleAllLocked(ths []*threadEntry) []eligRef {
-	rt.elig = rt.elig[:0]
-	for s := range rt.shards {
-		sh := &rt.shards[s]
-		for i := 0; i < sh.tq.Len(); i++ {
-			if !ths[sh.tq.EntryAt(i).Thread].running {
-				rt.elig = append(rt.elig, eligRef{shard: s, idx: i})
-			}
-		}
-	}
-	return rt.elig
-}
-
-// runSeededAllLocked dequeues the entry at ref and executes it on the
-// calling goroutine with the run token held, so nested preemption points
-// inside the body cannot start a second instance of the same thread.
-// Callers hold every shard lock; all are released before the body runs and
-// none are held on return.
-func (rt *Runtime) runSeededAllLocked(ths []*threadEntry, ref eligRef) {
-	sh := &rt.shards[ref.shard]
-	e := sh.tq.DequeueAt(ref.idx)
-	te := ths[e.Thread]
-	sh.tqst.MarkRunning(e.Thread)
-	te.running = true
-	tg, fn := rt.resolveShardLocked(ths, e)
-	rt.unlockAllShards()
-
-	ok := rt.runInstance(e, fn, tg)
-
-	sh.mu.Lock()
-	te.running = false
-	if ok {
-		sh.tqst.MarkDone(e.Thread)
-		sh.c.executed++
-	} else {
-		sh.tqst.MarkFailed(e.Thread)
-		sh.c.failedRuns++
-	}
-	sh.busy.Add(-1)
-	rt.finishShardLocked(sh, e.Thread, ths)
-	sh.mu.Unlock()
-}
-
-// seededPoll is a BackendSeeded preemption point: the scheduler decides,
-// entry by entry, whether to dispatch now and which eligible entry runs.
-// Enumeration and pick happen with every shard lock held so the decision is
-// deterministic. Nested polls (a body whose triggering store re-enters
-// here) see the enclosing thread's run token and skip it, preserving
-// one-instance-at-a-time.
-func (rt *Runtime) seededPoll() {
-	for {
-		rt.lockAllShards()
-		ths := rt.threadsSnap()
-		elig := rt.eligibleAllLocked(ths)
-		if len(elig) == 0 || !rt.sched.RunNow() {
-			rt.unlockAllShards()
-			return
-		}
-		rt.runSeededAllLocked(ths, elig[rt.sched.Pick(len(elig))])
-	}
-}
-
-// drainSeeded executes queued instances in seed-chosen order until nothing
-// is eligible; BackendSeeded's Wait and Barrier call it. On return the
-// queue is empty except for entries of threads still running in an
-// enclosing frame — impossible when called from the main thread, which is
-// the only legal caller of Wait/Barrier.
-func (rt *Runtime) drainSeeded() {
-	for {
-		rt.lockAllShards()
-		ths := rt.threadsSnap()
-		elig := rt.eligibleAllLocked(ths)
-		if len(elig) == 0 {
-			rt.unlockAllShards()
-			return
-		}
-		rt.runSeededAllLocked(ths, elig[rt.sched.Pick(len(elig))])
-	}
-}
-
 // runInline executes an overflowed trigger synchronously in the triggering
 // thread, honouring per-thread serialisation. When the triggering store
 // came from inside an instance of the same thread — a cascading trigger
@@ -1265,12 +1178,12 @@ func (rt *Runtime) drainSeeded() {
 // goroutine: that preserves one-instance-at-a-time (the nesting is serial)
 // and avoids waiting for ourselves.
 func (rt *Runtime) runInline(e queue.Entry) {
-	// On the single-goroutine backends no identity is needed: if the
-	// thread is busy while we are issuing a store, we are necessarily
-	// inside its own body. Only the immediate backend pays for goroutine
-	// identity, and only on this overflow path.
+	// The inline model needs no identity: if the thread is busy while we
+	// are issuing a store, we are necessarily inside its own body. Only the
+	// concurrent model pays for goroutine identity, and only on this
+	// overflow path.
 	var g uint64
-	if rt.cfg.Backend == BackendImmediate {
+	if rt.concurrent {
 		g = goid()
 	}
 	ths := rt.threadsSnap()
@@ -1289,7 +1202,7 @@ func (rt *Runtime) runInline(e queue.Entry) {
 		if _, running := sh.tqst.InFlight(e.Thread); !te.running && running == 0 {
 			break
 		}
-		if rt.cfg.Backend != BackendImmediate || te.owner == g {
+		if !rt.concurrent || te.owner == g {
 			// We hold this thread's run token ourselves: recurse.
 			tg, fn := rt.resolveShardLocked(ths, e)
 			sh.mu.Unlock()
@@ -1332,8 +1245,8 @@ func (rt *Runtime) runInline(e queue.Entry) {
 	sh.mu.Unlock()
 }
 
-// runShardEntry tries to dispatch one queue entry of sh on the immediate
-// backend: dequeue the oldest entry whose thread's token is free, run it
+// runShardEntry tries to dispatch one queue entry of sh on the concurrent
+// model: dequeue the oldest entry whose thread's token is free, run it
 // with no lock held, and complete it. It reports whether an entry ran.
 func (rt *Runtime) runShardEntry(sh *dispatchShard, g uint64) bool {
 	sh.mu.Lock()
@@ -1405,61 +1318,108 @@ func (rt *Runtime) worker(w int) {
 	}
 }
 
-// drainAll executes queued instances inline until every shard's queue is
-// empty, for the deferred and recorded backends. Shards are drained in
-// index order, looping until a full pass makes no progress (a body's
-// cascading trigger may refill an already-drained shard). It returns the
-// trace IDs of the executed support tasks. With one shard — the default on
-// these backends — the execution order is exactly the unsharded FIFO
-// order. No locks are held on entry or return; the shard lock is released
-// around thread bodies.
-func (rt *Runtime) drainAll() []trace.TaskID {
+// drain is the inline model's one dispatch loop: it runs queued instances
+// on the calling goroutine until none is eligible. Wait and Barrier call it
+// with preempt false; a triggering store under a seeded scheduler is a
+// preemption point and calls it with preempt true, so the scheduler may
+// stop it before any dispatch. Cascading triggers a body issues are queued
+// and run by the same loop. An entry is eligible when its thread has no
+// running instance: a nested drain (a preemption point inside a body)
+// skips the threads its enclosing frames are running.
+//
+// The loop holds every shard lock except across a body, so completing one
+// instance and picking the next is one critical section — at one shard,
+// the inline default, one lock round trip per instance. With a Recorder
+// each instance is a support task released by the trace position that
+// enqueued it; drain returns the executed tasks for the sync point's join.
+func (rt *Runtime) drain(preempt bool) []trace.TaskID {
+	rec := rt.cfg.Recorder
 	var done []trace.TaskID
+	rt.lockAllShards()
 	for {
-		progressed := false
-		for s := range rt.shards {
-			sh := &rt.shards[s]
-			sh.mu.Lock()
-			for {
-				e, ok := sh.tq.Dequeue()
-				if !ok {
-					break
-				}
-				progressed = true
-				ths := rt.threadsSnap()
-				sh.tqst.MarkRunning(e.Thread)
-				tg, fn := rt.resolveShardLocked(ths, e)
-				rel := rt.takeRelease(e)
-				name := ths[e.Thread].name
-				sh.mu.Unlock()
-
-				if rt.cfg.Recorder != nil {
-					rt.cfg.Recorder.BeginSupport(name, rel)
-				}
-				ok = rt.runInstance(e, fn, tg)
-				if rt.cfg.Recorder != nil {
-					// A failed instance still closes its trace task:
-					// whatever it charged before panicking was really
-					// executed.
-					done = append(done, rt.cfg.Recorder.EndSupport())
-				}
-
-				sh.mu.Lock()
-				if ok {
-					sh.tqst.MarkDone(e.Thread)
-					sh.c.executed++
-				} else {
-					sh.tqst.MarkFailed(e.Thread)
-					sh.c.failedRuns++
-				}
-				sh.busy.Add(-1)
-			}
-			sh.mu.Unlock()
+		ths := rt.threadsSnap()
+		sh, e, ok := rt.pickLocked(ths, preempt)
+		if !ok {
+			break
 		}
-		if !progressed {
-			return done
+		// Hold the run token across the body, so a nested drain cannot
+		// start a second instance of this thread.
+		te := ths[e.Thread]
+		sh.tqst.MarkRunning(e.Thread)
+		te.running = true
+		tg, fn := rt.resolveShardLocked(ths, e)
+		// The lock loops are spelled out rather than calling
+		// unlockAllShards/lockAllShards: this is the per-instance path,
+		// and at one shard each loop is a single inlined mutex operation.
+		for s := range rt.shards {
+			rt.shards[s].mu.Unlock()
+		}
+
+		if rec != nil {
+			// Outside the shard lock: a Recorder's runtime is driven by
+			// one goroutine, so no store can re-release the entry here.
+			rec.BeginSupport(te.name, rt.takeRelease(e))
+		}
+		ok = rt.runInstance(e, fn, tg)
+		if rec != nil {
+			// A failed instance still closes its trace task: whatever it
+			// charged before panicking was really executed.
+			done = append(done, rec.EndSupport())
+		}
+
+		// No waiter to wake: token, quiet and barrier waiters sleep only
+		// on the concurrent model (see finishShardLocked).
+		for s := range rt.shards {
+			rt.shards[s].mu.Lock()
+		}
+		te.running = false
+		if ok {
+			sh.tqst.MarkDone(e.Thread)
+			sh.c.executed++
+		} else {
+			sh.tqst.MarkFailed(e.Thread)
+			sh.c.failedRuns++
+		}
+		sh.busy.Add(-1)
+	}
+	rt.unlockAllShards()
+	return done
+}
+
+// pickLocked dequeues drain's next entry. Without a scheduler the pick is
+// FIFO: the oldest eligible entry of the lowest-indexed shard that has one,
+// found by a scan that stops at the first hit. At one shard that is
+// exactly queue order; with more, a cascade into a lower shard runs before
+// the rest of a higher one. A scheduler instead enumerates every eligible
+// entry, shard by shard and oldest first, and sched.Pick chooses; at a
+// preemption point sched.RunNow first decides whether to dispatch at all.
+// ok is false when nothing is eligible or the preemption point declines.
+// Callers hold every shard lock.
+func (rt *Runtime) pickLocked(ths []*threadEntry, preempt bool) (*dispatchShard, queue.Entry, bool) {
+	eligible := func(e queue.Entry) bool { return !ths[e.Thread].running }
+	if rt.sched == nil {
+		for s := range rt.shards {
+			if e, ok := rt.shards[s].tq.DequeueFirst(eligible); ok {
+				return &rt.shards[s], e, true
+			}
+		}
+		return nil, queue.Entry{}, false
+	}
+	rt.elig = rt.elig[:0]
+	for s := range rt.shards {
+		q := rt.shards[s].tq
+		for i := 0; i < q.Len(); i++ {
+			if eligible(q.EntryAt(i)) {
+				rt.elig = append(rt.elig, eligRef{shard: s, idx: i})
+			}
 		}
 	}
+	if len(rt.elig) == 0 || preempt && !rt.sched.RunNow() {
+		return nil, queue.Entry{}, false
+	}
+	ref := rt.elig[rt.sched.Pick(len(rt.elig))]
+	sh := &rt.shards[ref.shard]
+	return sh, sh.tq.DequeueAt(ref.idx), true
 }
 
 // goid returns the current goroutine's id, parsed from the stack header.
@@ -1488,11 +1448,8 @@ func goid() uint64 {
 }
 
 // Wait blocks until thread t has no pending or running instances (twait).
-// With the deferred and recorded backends it executes the queue inline
-// first. On the immediate backend the wakeup predicate is three O(1)
-// checks against t's own shard-local counters — it never scans a queue or
-// touches another shard — and the waiter sleeps on t's own channel, so
-// completions of other threads do not wake it.
+// The inline model first runs the queue on the calling goroutine (see
+// drain); the concurrent model sleeps until t is quiet (see waitQuiet).
 func (rt *Runtime) Wait(t ThreadID) {
 	rt.stats.waits.Add(1)
 	if rt.tel != nil && rtrace.IsEnabled() {
@@ -1503,34 +1460,12 @@ func (rt *Runtime) Wait(t ThreadID) {
 	// is evaluated, so the post-Wait state reflects every TUpdate this
 	// goroutine issued.
 	rt.mergeAllPlanes()
-	if rt.cfg.Backend == BackendSeeded {
-		rt.drainSeeded()
-		rt.noteJoin(func(g uint64) { rt.check.OnWait(g, t) })
-		return
+	var done []trace.TaskID
+	if rt.concurrent {
+		rt.waitQuiet(t)
+	} else {
+		done = rt.drain(false)
 	}
-	if rt.cfg.Backend == BackendImmediate {
-		sh := rt.shardOf(t)
-		sh.mu.Lock()
-		for {
-			ths := rt.threadsSnap()
-			if int(t) < 0 || int(t) >= len(ths) {
-				break
-			}
-			te := ths[t]
-			if !sh.tq.Pending(t) && sh.tqst.Quiet(t) && !te.running {
-				break
-			}
-			ch := make(chan struct{})
-			te.quietWaiters = append(te.quietWaiters, ch)
-			sh.mu.Unlock()
-			<-ch
-			sh.mu.Lock()
-		}
-		sh.mu.Unlock()
-		rt.noteJoin(func(g uint64) { rt.check.OnWait(g, t) })
-		return
-	}
-	done := rt.drainAll()
 	rt.noteJoin(func(g uint64) { rt.check.OnWait(g, t) })
 	rt.joinTrace(done, isa.OpTWait)
 }
@@ -1546,11 +1481,12 @@ func (rt *Runtime) noteJoin(edge func(g uint64)) {
 }
 
 // Barrier blocks until every shard's queue is empty and every thread is
-// idle (tbarrier). On the immediate backend the waiter first confirms
+// idle (tbarrier). The inline model runs the queue on the calling
+// goroutine (see drain). On the concurrent model the waiter first confirms
 // quiescence under all shard locks (each shard's check is O(1)); while not
-// quiet it sleeps on a barrier channel, woken by the completion that drives
-// the lock-free busy sum to zero. Spurious wakeups are possible — the
-// completion side only reads the racy sum — and are absorbed by
+// quiet it sleeps on a barrier channel, woken by the completion that
+// drives the lock-free busy sum to zero. Spurious wakeups are possible —
+// the completion side only reads the racy sum — and are absorbed by
 // re-confirming.
 func (rt *Runtime) Barrier() {
 	rt.stats.barriers.Add(1)
@@ -1560,12 +1496,10 @@ func (rt *Runtime) Barrier() {
 	// Like Wait, Barrier merges pending commutative deltas (blocking)
 	// before confirming quiescence.
 	rt.mergeAllPlanes()
-	if rt.cfg.Backend == BackendSeeded {
-		rt.drainSeeded()
-		rt.noteJoin(rt.check.OnBarrier)
-		return
-	}
-	if rt.cfg.Backend == BackendImmediate {
+	var done []trace.TaskID
+	if !rt.concurrent {
+		done = rt.drain(false)
+	} else {
 		for !rt.quietConfirm() {
 			ch := make(chan struct{})
 			rt.barMu.Lock()
@@ -1581,10 +1515,7 @@ func (rt *Runtime) Barrier() {
 			}
 			<-ch
 		}
-		rt.noteJoin(rt.check.OnBarrier)
-		return
 	}
-	done := rt.drainAll()
 	rt.noteJoin(rt.check.OnBarrier)
 	rt.joinTrace(done, isa.OpTBarrier)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -452,4 +453,111 @@ func TestSilentFractionHelper(t *testing.T) {
 	if s.SquashFraction() != 0.25 {
 		t.Fatalf("SquashFraction = %v", s.SquashFraction())
 	}
+}
+
+// drainOrderRun drives a fixed program of cascading triggers through a
+// runtime built from cfg and returns the order in which support-thread
+// instances ran (thread name + trigger index), plus the final contents of
+// the three regions. Thread a fires b, b fires c on even indices, and d
+// shares part of a's range; queue capacity 4 makes round 1 overflow, so
+// OverflowInline runs (including a cascade nested inside one) are pinned
+// too. Round 2 re-stores a word twice to exercise squashing.
+func drainOrderRun(t *testing.T, cfg Config) (log []string, final []uint64, rt *Runtime) {
+	t.Helper()
+	cfg.QueueCapacity = 4
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	src := rt.NewRegion("src", 4)
+	mid := rt.NewRegion("mid", 4)
+	out := rt.NewRegion("out", 2)
+	note := func(tg Trigger) { log = append(log, fmt.Sprintf("%s%d", rt.ThreadName(tg.Thread), tg.Index)) }
+	a := rt.Register("a", func(tg Trigger) {
+		note(tg)
+		mid.TStore(tg.Index, src.Load(tg.Index)+1)
+	})
+	b := rt.Register("b", func(tg Trigger) {
+		note(tg)
+		if tg.Index%2 == 0 {
+			out.TStore(tg.Index/2, mid.Load(tg.Index)*10)
+		}
+	})
+	c := rt.Register("c", note)
+	d := rt.Register("d", note)
+	for _, at := range []struct {
+		id     ThreadID
+		r      *Region
+		lo, hi int
+	}{{a, src, 0, 4}, {b, mid, 0, 4}, {c, out, 0, 2}, {d, src, 1, 3}} {
+		if err := rt.Attach(at.id, at.r, at.lo, at.hi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		src.TStore(i, 1)
+	}
+	rt.Wait(a)
+	rt.Barrier()
+	src.TStore(0, 2)
+	src.TStore(0, 3) // squashed into the pending a0
+	src.TStore(2, 2)
+	rt.Barrier()
+	for _, r := range []*Region{src, mid, out} {
+		for i := 0; i < r.Len(); i++ {
+			final = append(final, r.Load(i))
+		}
+	}
+	return log, final, rt
+}
+
+// TestInlineDrainOrderPinned pins the exact order in which the inline
+// execution model runs queued, cascaded and overflowed instances at one
+// shard: FIFO over the queue, with OverflowInline runs executing at the
+// triggering store (nested inside the body that issued it). The deferred
+// and recorded configurations must agree, since recording only observes.
+// At four shards the order may interleave shards differently, so only the
+// final memory and the counter identities are asserted.
+func TestInlineDrainOrderPinned(t *testing.T) {
+	want := []string{
+		"d2", "a3", "b3", // overflow runs at the triggering stores
+		"a0", "a1", "d1", "a2", "b0", "b1", "b2", "c0", "c1", // Wait(a) drains FIFO
+		"a0", "a2", "d2", "b0", "b2", "c0", "c1", // round 2: one squash
+	}
+	wantFinal := []uint64{3, 1, 2, 1, 4, 2, 3, 2, 40, 30}
+	rec := trace.NewRecorder(nil)
+	for _, cfg := range []Config{
+		{Backend: BackendDeferred, Shards: 1},
+		{Backend: BackendRecorded, Recorder: rec, Shards: 1},
+	} {
+		log, final, rt := drainOrderRun(t, cfg)
+		if fmt.Sprint(log) != fmt.Sprint(want) {
+			t.Errorf("%v: drain order\n got %v\nwant %v", cfg.Backend, log, want)
+		}
+		if fmt.Sprint(final) != fmt.Sprint(wantFinal) {
+			t.Errorf("%v: final memory %v, want %v", cfg.Backend, final, wantFinal)
+		}
+		if s := rt.Stats(); s.Overflowed != 3 || s.InlineRuns != 3 || s.Squashed != 1 {
+			t.Errorf("%v: stats = %+v, want 3 overflowed, 3 inline, 1 squashed", cfg.Backend, s)
+		}
+	}
+	if tr, err := rec.Finish(); err != nil {
+		t.Fatal(err)
+	} else if got := tr.SupportTasks(); got != len(want)-3 {
+		t.Errorf("recorded support tasks = %d, want %d (queued runs only)", got, len(want)-3)
+	}
+
+	log, final, rt := drainOrderRun(t, Config{Backend: BackendDeferred, Shards: 4})
+	if fmt.Sprint(final) != fmt.Sprint(wantFinal) {
+		t.Errorf("4 shards: final memory %v, want %v", final, wantFinal)
+	}
+	s := rt.Stats()
+	if s.Fired != s.Enqueued+s.Squashed+s.Overflowed || s.Overflowed != s.InlineRuns+s.Dropped {
+		t.Errorf("4 shards: counter identity broken: %+v", s)
+	}
+	if int64(len(log)) != s.Executed+s.InlineRuns {
+		t.Errorf("4 shards: %d runs logged, Executed %d + InlineRuns %d", len(log), s.Executed, s.InlineRuns)
+	}
+	assertQueueConservation(t, rt, "4 shards")
 }

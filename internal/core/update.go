@@ -25,10 +25,10 @@
 //     the next op retries).
 //
 // Changed merge words dispatch through the exact machinery scalar tstores
-// use (fireOne: shard lock, coverage re-check, Fired identity), so the
-// trigger-observable semantics match a scalar TStore of the merged value.
-// On the seeded backend the whole merge is one preemption point at its
-// end, like a batch.
+// use (fireOne: shard lock, admitLocked's coverage re-check and Fired
+// identity), so the trigger-observable semantics match a scalar TStore of
+// the merged value. Under a seeded scheduler the whole merge is one
+// preemption point at its end, like a batch.
 //
 // # Lock order
 //
@@ -44,7 +44,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"dtt/internal/mem"
@@ -85,25 +84,15 @@ type updatePlane struct {
 	dead bool //dtt:guards mergeMu
 }
 
-// armUpdates creates the region's update plane on first TUpdate. Stripe
-// count follows the dispatch-shard defaulting rule: 1 for the
-// single-goroutine backends (their merges are deterministic and a single
-// stripe keeps producer-order folding exact), GOMAXPROCS rounded up to a
-// power of two (capped at 64) for the concurrent immediate backend.
+// armUpdates creates the region's update plane on first TUpdate. Its
+// stripe count follows the dispatch-shard default (see defaultWidth).
 func (rt *Runtime) armUpdates(r *Region) *updatePlane {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if u := r.upd.Load(); u != nil {
 		return u
 	}
-	stripes := 1
-	if rt.cfg.Backend == BackendImmediate {
-		stripes = ceilPow2(runtime.GOMAXPROCS(0))
-		if stripes > 64 {
-			stripes = 64
-		}
-	}
-	u := &updatePlane{r: r, plane: mem.NewDeltaPlane(r.buf.Len(), stripes)}
+	u := &updatePlane{r: r, plane: mem.NewDeltaPlane(r.buf.Len(), defaultWidth(rt.concurrent))}
 	var grown []*updatePlane
 	if ps := rt.updPlanes.Load(); ps != nil {
 		grown = append(grown, *ps...)
@@ -124,10 +113,10 @@ func (rt *Runtime) armUpdates(r *Region) *updatePlane {
 // when a merge point separates them (merge order against an unmerged
 // delta is otherwise unspecified). Min and max compare words as unsigned
 // integers. Set is last-writer-wins with a per-stripe order guarantee
-// only: deterministic on single-stripe planes (all single-goroutine
-// backends); on the concurrent backend the stripe hint is affinity, not
-// identity, so conflicting sets not separated by a merge point may
-// resolve in either order (see mem.UpdSet).
+// only: deterministic on single-stripe planes (the inline model's); on the
+// concurrent model the stripe hint is affinity, not identity, so
+// conflicting sets not separated by a merge point may resolve in either
+// order (see mem.UpdSet).
 func (r *Region) TUpdate(i int, op mem.UpdateOp, v mem.Word) {
 	if i < 0 || i >= r.buf.Len() {
 		panic(fmt.Sprintf("core: TUpdate index %d out of range of %q (%d words)", i, r.Name(), r.buf.Len()))
@@ -297,6 +286,6 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 	if changed > 0 && rt.sched != nil {
 		// The whole merge is ONE preemption point, at its end, so seeded
 		// interleavings replay regardless of how many words merged.
-		rt.seededPoll()
+		rt.drain(true)
 	}
 }

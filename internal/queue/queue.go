@@ -371,10 +371,10 @@ func (q *ThreadQueue) Dequeue() (e Entry, ok bool) {
 
 // DequeueFirst removes and returns the oldest entry satisfying pred,
 // preserving the order of the rest. ok is false when no entry matches.
-// The immediate backend uses it to skip over entries whose thread already
-// has a running instance. Removal shifts the entries older than the match
-// — usually none, since dispatchable work clusters at the head — and never
-// allocates.
+// The runtime's dispatch loops use it to skip over entries whose thread
+// already has a running instance. Removal shifts the entries older than
+// the match — usually none, since dispatchable work clusters at the head —
+// and never allocates.
 func (q *ThreadQueue) DequeueFirst(pred func(Entry) bool) (e Entry, ok bool) {
 	for i := 0; i < q.n; i++ {
 		cand := *q.at(i)

@@ -3,11 +3,15 @@
 // which queued support-thread instances run unspecified: any interleaving
 // of dispatches with main-thread progress is legal, and misuse bugs (a read
 // before the matching twait, a squash racing an instance) only surface
-// under some of them. The immediate backend explores interleavings at the
-// mercy of the Go scheduler; this package explores them *reproducibly*: a
-// single uint64 seed fully determines every scheduling decision, so a
-// failing interleaving found by the schedule fuzzer is replayed exactly by
-// re-running with the printed seed.
+// under some of them. The runtime's inline execution model runs queued
+// instances in one dispatch loop whose pick is FIFO unless a Scheduler is
+// plugged in; with one, this package's decisions replace the FIFO pick and
+// decide whether a triggering store dispatches at all. The concurrent
+// model explores interleavings at the mercy of the Go scheduler; this
+// package explores them *reproducibly*: a single uint64 seed fully
+// determines every scheduling decision, so a failing interleaving found by
+// the schedule fuzzer is replayed exactly by re-running with the printed
+// seed.
 //
 // The scheduler makes two kinds of decisions, both drawn from a splitmix64
 // stream:
@@ -25,8 +29,8 @@
 package sched
 
 // Scheduler is a deterministic decision stream seeded once at construction.
-// It is not safe for concurrent use; the seeded backend only consults it
-// from the runtime's single driving goroutine.
+// It is not safe for concurrent use; the runtime's inline dispatch loop
+// only consults it from the single driving goroutine.
 type Scheduler struct {
 	seed  uint64
 	state uint64

@@ -41,6 +41,12 @@ const (
 	// path can amortise further, and small enough that a hostile length
 	// prefix cannot balloon the decoder's buffer.
 	MaxFrame = 1 << 20
+	// maxRegionWords bounds the region size an ATTACH may request, checked
+	// before anything is allocated: ATTACH carries the size as a u32, and
+	// without a bound one frame could make the server allocate up to 32 GiB.
+	// At MaxFrame/8 it is just above the words one TSTORE_BATCH frame can
+	// carry, so every batch the wire admits fits in an attachable region.
+	maxRegionWords = MaxFrame / 8
 	// headerLen is the fixed prefix: length u32 + opcode u8.
 	headerLen = 5
 )

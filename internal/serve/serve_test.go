@@ -411,6 +411,37 @@ func TestServeErrorRepliesKeepSessionAlive(t *testing.T) {
 	}
 }
 
+// TestServeAttachOversizeRejected: an ATTACH asking for more than
+// maxRegionWords gets an ERROR before the server allocates anything (a
+// 1<<30-word region used to kill the process), and the session goes on
+// attaching and batching normally.
+func TestServeAttachOversizeRejected(t *testing.T) {
+	rt, srv, addr := newServerPair(t,
+		core.Config{Backend: core.BackendImmediate, Workers: 2}, Options{})
+	defer rt.Close()
+	defer srv.Close()
+
+	cs, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cs.Close()
+
+	if _, err := cs.Attach("huge", 1<<30, 0, 1); err == nil {
+		t.Fatal("Attach of 1<<30 words did not error")
+	}
+	h, err := cs.Attach("r", 8, 0, 8)
+	if err != nil {
+		t.Fatalf("valid Attach after the oversize one: %v", err)
+	}
+	if changed, err := cs.Batch(h, 0, []mem.Word{1, 2}); err != nil || changed != 2 {
+		t.Fatalf("Batch after the oversize Attach: changed %d, err %v", changed, err)
+	}
+	if got := srv.Counters().Errors; got != 1 {
+		t.Errorf("Errors = %d, want 1", got)
+	}
+}
+
 // TestServeHandshakeViolations: anything but a well-formed HELLO as the
 // first frame closes the connection without a session reply.
 func TestServeHandshakeViolations(t *testing.T) {
@@ -610,6 +641,16 @@ func TestOutboxShedsNotifiesAtCap(t *testing.T) {
 	batch, closed := o.swap()
 	if len(batch) != 3 || closed {
 		t.Fatalf("swap: %d msgs, closed %v; want 3, false", len(batch), closed)
+	}
+	// A mailbox full of replies alone takes one notify past cap: a shed
+	// needs a queued notify after it to carry the dropped count on the wire.
+	o.push(msg{op: OpWait}, false)
+	o.push(msg{op: OpWait}, false)
+	if !o.push(msg{op: OpChangeNotify}, true) {
+		t.Fatal("notify shed while the mailbox held only replies")
+	}
+	if o.push(msg{op: OpChangeNotify}, true) {
+		t.Fatal("second notify above cap succeeded")
 	}
 	o.close()
 	if o.push(msg{op: OpWait}, false) {

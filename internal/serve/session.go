@@ -40,9 +40,10 @@ type msg struct {
 // on the wire: every CHANGE_NOTIFY carries the session's cumulative
 // dropped count, stamped at encode time (see writeLoop), so a subscriber
 // that lost notifications learns it from the very next one it receives.
-// A drop can only happen while the mailbox already holds cap entries,
-// and those entries are encoded strictly after the drop, so at least cap
-// post-drop stamps are always on their way to the client.
+// A drop therefore needs a CHANGE_NOTIFY still in the mailbox, encoded
+// strictly after the drop: when the mailbox holds cap entries but all of
+// them are replies, the notify is queued past cap instead of shed, so a
+// drop is always followed by a stamp that announces it.
 type outbox struct {
 	mu     sync.Mutex
 	buf    []msg //dtt:guards mu
@@ -50,6 +51,8 @@ type outbox struct {
 	wake   chan struct{}
 	closed bool //dtt:guards mu
 	cap    int
+	// notifies counts the droppable messages in buf.
+	notifies int //dtt:guards mu
 }
 
 func newOutbox(capacity int) *outbox {
@@ -60,11 +63,14 @@ func newOutbox(capacity int) *outbox {
 // false when the message was dropped or the outbox is closed.
 func (o *outbox) push(m msg, droppable bool) bool {
 	o.mu.Lock()
-	if o.closed || (droppable && len(o.buf) >= o.cap) {
+	if o.closed || (droppable && len(o.buf) >= o.cap && o.notifies > 0) {
 		o.mu.Unlock()
 		return false
 	}
 	o.buf = append(o.buf, m)
+	if droppable {
+		o.notifies++
+	}
 	o.mu.Unlock()
 	select {
 	case o.wake <- struct{}{}:
@@ -80,6 +86,7 @@ func (o *outbox) swap() (batch []msg, closed bool) {
 	o.mu.Lock()
 	batch, o.buf = o.buf, o.spare[:0]
 	o.spare = batch
+	o.notifies = 0
 	closed = o.closed
 	o.mu.Unlock()
 	return batch, closed
@@ -266,6 +273,10 @@ func (s *session) handle(op byte, payload []byte) bool {
 // The thread body publishes the changed word as a CHANGE_NOTIFY when the
 // handle is subscribed.
 func (s *session) handleAttach(words, lo, hi uint32, name string) {
+	if words > maxRegionWords {
+		s.sendErr(fmt.Sprintf("serve: ATTACH of %d words exceeds the %d-word region limit", words, maxRegionWords))
+		return
+	}
 	r, err := s.ns.Region(name, int(words))
 	if err != nil {
 		s.sendErr(err.Error())
