@@ -118,10 +118,10 @@ func BenchmarkAblationDedupPolicy(b *testing.B) {
 				t := queue.ThreadID(h % 4)
 				addr := mem.Addr((h >> 8) % 256 * 8)
 				if q.Enqueue(t, addr) == queue.Overflowed {
-					q.Dequeue()
+					q.DequeueAt(0)
 				}
-				if i%16 == 15 {
-					q.Dequeue()
+				if i%16 == 15 && q.Len() > 0 {
+					q.DequeueAt(0)
 				}
 			}
 			c := q.Counters()

@@ -50,7 +50,9 @@ var pinned = map[string][]string{
 		"Region.TStoreRange",
 		"Region.TUpdate",
 		"Region.TUpdateBatch",
+		"Runtime.admitBatch",
 		"Runtime.admitLocked",
+		"Runtime.mergePlane",
 		"Runtime.tstore",
 		"Runtime.tstoreBatch",
 	},
@@ -65,7 +67,8 @@ var pinned = map[string][]string{
 		"TQST.MarkPending",
 		"TQST.MarkRunning",
 		"TQST.entry",
-		"ThreadQueue.Dequeue",
+		"ThreadQueue.DequeueAt",
+		"ThreadQueue.DequeueFirst",
 		"ThreadQueue.Enqueue",
 		"ThreadQueue.at",
 		"ThreadQueue.countUp",

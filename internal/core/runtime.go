@@ -127,14 +127,15 @@ type releaseKey struct {
 // (see DESIGN.md "Runtime lock hierarchy"):
 //
 //  1. No lock: the value comparison in mem.Buffer.Store, the stats
-//     counters (atomic), the Registry.Covers/Each probes against the
-//     registry's immutable index snapshot, and the thread table (an
+//     counters (atomic), the registry read (one Snapshot of its immutable
+//     index per scalar store, batch or merge), and the thread table (an
 //     atomically published copy-on-write slice). Silent stores and stores
 //     to unattached addresses finish here and never contend.
 //  2. Shard locks (dispatchShard.mu): thread queue segment, TQST slot,
 //     per-thread records and run tokens of the shard's threads. A store
 //     that fires takes only the target thread's shard lock, and only for
-//     pointer-sized bookkeeping, never across a thread body. Stores that
+//     pointer-sized bookkeeping, never across a thread body; a batch or
+//     merge takes each target shard's lock once (admitBatch). Stores that
 //     trigger threads in different shards proceed in parallel.
 //  3. rt.mu, the management lock: Register/Attach/Cancel/Close and registry
 //     mutations. Never taken on the store path. Lock order is rt.mu →
@@ -621,48 +622,41 @@ func (rt *Runtime) chargeMgmt(op isa.Opcode) {
 //
 // The fast paths are allocation-free and ordered cheapest-first: a silent
 // store is one atomic compare-and-swap plus two counters; a changing store
-// to an unattached address adds a lock-free index probe; only a changing
-// store inside a trigger range takes a lock, and then only the target
-// thread's shard lock, for the enqueue bookkeeping. Stores that trigger
-// threads in different shards never contend with each other.
+// to an unattached address adds the registry snapshot's two-comparison
+// bounds rejection; only a changing store inside a trigger range takes a
+// lock, and then only the target thread's shard lock, for the enqueue
+// bookkeeping. Stores that trigger threads in different shards never
+// contend with each other.
 func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
 	changed := r.buf.Store(i, v)
-	if rt.cfg.Recorder != nil {
-		rt.cfg.Recorder.NoteTStore()
-	}
-	rt.stats.tstores.Add(1)
-	if !changed {
-		rt.stats.silent.Add(1)
-		if rt.check != nil {
-			// A silent store still counts against write confinement: where
-			// a thread stores is decided by the instruction, not by the
-			// value already in memory. No happens-before stamp — nothing
-			// was published.
-			rt.check.OnSilentStore(goid(), r.Name(), i, r.buf.Addr(i))
-		}
-		return false
-	}
-	addr := r.buf.Addr(i)
 	// g is only resolved when the sanitizer is on: goid costs a stack
 	// read, which the checked configuration accepts and the fast path
 	// must not pay.
 	var g uint64
-	if rt.check != nil {
-		g = goid()
-		rt.check.OnStore(g, r.Name(), i, addr)
-	}
-	if !rt.reg.Covers(addr) {
-		if rt.sched != nil {
-			rt.drain(true)
+	if rt.check != nil || rt.cfg.Recorder != nil {
+		if rt.check != nil {
+			g = goid()
 		}
-		return true
+		rt.noteStore(g, r, i, changed)
 	}
-
+	rt.stats.tstores.Add(1)
+	if !changed {
+		rt.stats.silent.Add(1)
+		return false
+	}
+	addr := r.buf.Addr(i)
+	// One snapshot walk admits each match straight into its thread's
+	// shard. The thread table is loaded after the registry snapshot, so an
+	// id the snapshot knows is always in range.
 	var inline []queue.Entry
-	rt.reg.Each(addr, func(id queue.ThreadID) {
-		rt.fireOne(id, addr, g, &inline)
+	rt.reg.Snapshot().Each(addr, func(id queue.ThreadID) {
+		sh := rt.shardOf(id)
+		sh.mu.Lock()
+		if rt.admitLocked(sh, rt.threadsSnap()[id], id, addr, g, &inline) {
+			rt.settleLocked(sh, 1)
+		}
+		sh.mu.Unlock()
 	})
-
 	for _, e := range inline {
 		rt.runInline(e)
 	}
@@ -674,25 +668,35 @@ func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
 	return true
 }
 
-// fireOne dispatches one fired (thread, addr) trigger under the thread's
-// shard lock (see admitLocked), settling busy, the queue-depth sample and
-// the worker wakeup per entry. Both the scalar tstore path and the
-// update-merge plane dispatch through here, so merge stores are
-// trigger-identical to scalar triggering stores.
-func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) {
-	// The thread table is loaded after the registry snapshot, so an id
-	// the registry knows is always in range here.
-	te := rt.threadsSnap()[id]
-	sh := rt.shardOf(id)
-	sh.mu.Lock()
-	if rt.admitLocked(sh, te, id, addr, g, inline) {
-		sh.busy.Add(1)
-		if rt.tel != nil {
-			rt.tel.Shard(sh.idx).QueueDepth.Observe(int64(sh.tq.Len()))
-		}
-		rt.signalShardLocked(sh)
+// noteStore reports one triggering write of word i of r to the observers:
+// the Recorder charges it as a tstore, and the sanitizer checks write
+// confinement and, for a changed word, stamps the happens-before edge on
+// g's clock. A silent write gets no stamp (nothing was published), but it
+// still counts against confinement: where a thread stores is decided by
+// the instruction, not by the value already in memory. Scalar, batched and
+// merge stores call it behind one rt.check != nil || rt.cfg.Recorder !=
+// nil guard, so an unobserved store pays a branch and no call.
+func (rt *Runtime) noteStore(g uint64, r *Region, i int, changed bool) {
+	if rec := rt.cfg.Recorder; rec != nil {
+		rec.NoteTStore()
 	}
-	sh.mu.Unlock()
+	switch {
+	case rt.check == nil:
+	case changed:
+		rt.check.OnStore(g, r.Name(), i, r.buf.Addr(i))
+	default:
+		rt.check.OnSilentStore(g, r.Name(), i, r.buf.Addr(i))
+	}
+}
+
+// settleLocked accounts n entries just enqueued on sh: busy, one
+// queue-depth sample and one worker wakeup. Callers hold sh.mu.
+func (rt *Runtime) settleLocked(sh *dispatchShard, n int) {
+	sh.busy.Add(int64(n))
+	if rt.tel != nil {
+		rt.tel.Shard(sh.idx).QueueDepth.Observe(int64(sh.tq.Len()))
+	}
+	rt.signalShardLocked(sh)
 }
 
 // admitLocked offers one fired (thread, addr) trigger to the thread's
@@ -703,8 +707,8 @@ func (rt *Runtime) fireOne(id queue.ThreadID, addr mem.Addr, g uint64, inline *[
 // overflow under OverflowInline is appended to inline for the caller to
 // run once it holds no shard lock. busy, the queue-depth sample and the
 // worker wakeup are left to the caller, which settles them per entry
-// (fireOne) or per shard (tstoreBatch). Callers hold sh.mu, the shard of
-// id, whose thread-table entry is te.
+// (tstore) or per shard (admitBatch). Callers hold sh.mu, the shard of id,
+// whose thread-table entry is te.
 func (rt *Runtime) admitLocked(sh *dispatchShard, te *threadEntry, id queue.ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) bool {
 	if !te.covers(addr) {
 		// A concurrent Cancel detached the range between the registry
@@ -738,18 +742,19 @@ func (rt *Runtime) admitLocked(sh *dispatchShard, te *threadEntry, id queue.Thre
 	return false
 }
 
-// firedTrigger is one (thread, trigger address) pair a batch collected for
-// dispatch.
+// firedTrigger is one (thread, trigger address) pair a batch or merge
+// collected for dispatch.
 type firedTrigger struct {
 	id   queue.ThreadID
 	addr mem.Addr
 }
 
-// batchScratch is tstoreBatch's per-call working set: the fired pairs
-// collected during the write phase and the per-shard tally that lets the
-// dispatch phase skip shards with nothing to do. Instances live in
-// Runtime.batchPool; slices keep their capacity across calls, so a warmed
-// scratch serves any batch the program repeats without allocating.
+// batchScratch is the per-call working set of a batched store or an update
+// merge: the fired pairs collected during the write phase and the
+// per-shard tally that lets the dispatch phase skip shards with nothing to
+// do. Instances live on Runtime.batchFree; slices keep their capacity
+// across calls, so a warmed scratch serves any batch the program repeats
+// without allocating.
 type batchScratch struct {
 	fired    []firedTrigger
 	perShard []int32
@@ -769,6 +774,12 @@ func (sc *batchScratch) begin(shards int) {
 	for i := range sc.perShard {
 		sc.perShard[i] = 0
 	}
+}
+
+// fire records that the store to addr triggered thread id.
+func (sc *batchScratch) fire(id queue.ThreadID, addr mem.Addr, mask uint32) {
+	sc.fired = append(sc.fired, firedTrigger{id: id, addr: addr})
+	sc.perShard[uint32(id)&mask]++
 }
 
 // getScratch pops a warmed scratch off the free list, or makes a fresh one
@@ -800,19 +811,11 @@ func (rt *Runtime) putScratch(sc *batchScratch) {
 // atomic compares and resolves every changed word against ONE registry
 // snapshot — all words of a batch see the same attachment set, so a
 // concurrent Attach/Detach orders entirely before or after the batch. The
-// dispatch phase groups the fired (thread, addr) pairs by target shard and
-// takes each shard's lock exactly once, walking shards in ascending index
-// order (locks are taken one at a time, never nested, so this matches the
-// documented shard-lock order). Within the critical section each entry
-// still moves fired plus exactly one of enqueued/squashed/overflowed, so
-// the per-shard identity Fired = Enqueued + Squashed + Overflowed holds at
-// every instant, exactly as for scalar tstores (both admit through
-// admitLocked); busy and the queue-depth sample settle once per shard
-// rather than once per entry.
+// dispatch phase is admitBatch, which update merges share.
 //
 // Under a seeded scheduler the whole batch is a single preemption point at
 // its end — the deterministic scheduler cannot observe a half-written
-// span. The scratch comes from rt.batchPool, keeping the steady-state path
+// span. The scratch comes from rt.batchFree, keeping the steady-state path
 // at 0 allocs/op for silent, squashed and enqueueing batches alike.
 func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 	if len(vs) == 0 {
@@ -822,11 +825,11 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 		panic(fmt.Sprintf("core: TStoreBatch [%d, %d) out of range of %q (%d words)",
 			lo, lo+len(vs), r.Name(), r.buf.Len()))
 	}
-	rec := rt.cfg.Recorder
 	var g uint64
 	if rt.check != nil {
 		g = goid()
 	}
+	observed := rt.check != nil || rt.cfg.Recorder != nil
 
 	sc := rt.getScratch()
 	sc.begin(len(rt.shards)) //dtt:escape-ok -- inlined scratch warm-up; allocates only for a fresh scratch
@@ -835,87 +838,80 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 	// candidate attachments, in index order — the same matches in the same
 	// order a per-word lookup would produce.
 	sc.cands = rt.reg.Snapshot().Overlapping(r.buf.Addr(lo), r.buf.Addr(lo+len(vs)), sc.cands[:0])
-	changed, lookups, matches := 0, 0, 0
+	changed := 0
 	for j, v := range vs {
-		if !r.buf.Store(lo+j, v) {
-			if rec != nil {
-				rec.NoteTStore()
-			}
-			if rt.check != nil {
-				rt.check.OnSilentStore(g, r.Name(), lo+j, r.buf.Addr(lo+j))
-			}
+		ch := r.buf.Store(lo+j, v)
+		if observed {
+			rt.noteStore(g, r, lo+j, ch)
+		}
+		if !ch {
 			continue
 		}
 		changed++
-		if rec != nil {
-			rec.NoteTStore()
-		}
 		addr := r.buf.Addr(lo + j)
-		if rt.check != nil {
-			rt.check.OnStore(g, r.Name(), lo+j, addr)
-		}
-		matched := 0
 		for _, a := range sc.cands {
 			if a.Lo <= addr && addr < a.Hi {
-				matched++
-				sc.fired = append(sc.fired, firedTrigger{id: a.Thread, addr: addr})
-				sc.perShard[uint32(a.Thread)&rt.shardMask]++
+				sc.fire(a.Thread, addr, rt.shardMask)
 			}
-		}
-		if matched > 0 {
-			// Mirror the scalar path's T3 accounting: a lookup is recorded
-			// only for covered probes (Covers rejections are free there).
-			lookups++
-			matches += matched
 		}
 	}
 	rt.stats.tstores.Add(int64(len(vs)))
 	if silent := len(vs) - changed; silent > 0 {
 		rt.stats.silent.Add(int64(silent))
 	}
-	rt.reg.NoteLookups(int64(lookups), int64(matches))
 	if rt.tel != nil {
 		rt.tel.BatchSize.Observe(int64(len(vs)))
 	}
+	rt.admitBatch(sc, g)
+	rt.finishBatch(sc, changed)
+	return changed
+}
 
-	if len(sc.fired) > 0 {
-		ths := rt.threadsSnap()
-		for s := range rt.shards {
-			if sc.perShard[s] == 0 {
-				continue
-			}
-			sh := &rt.shards[s]
-			enqueued := 0
-			sh.mu.Lock()
-			for _, ft := range sc.fired {
-				if uint32(ft.id)&rt.shardMask == uint32(s) &&
-					rt.admitLocked(sh, ths[ft.id], ft.id, ft.addr, g, &sc.inline) {
-					enqueued++
-				}
-			}
-			if enqueued > 0 {
-				sh.busy.Add(int64(enqueued))
-				if rt.tel != nil {
-					// One depth sample per shard per batch: the depth after
-					// the batch's admissions, not one sample per entry.
-					rt.tel.Shard(sh.idx).QueueDepth.Observe(int64(sh.tq.Len()))
-				}
-				rt.signalShardLocked(sh)
-			}
-			sh.mu.Unlock()
-		}
+// admitBatch is the dispatch step shared by batched stores and update
+// merges. It groups the fired pairs by target shard and takes each shard's
+// lock exactly once, walking shards in ascending index order (locks are
+// taken one at a time, never nested, so this matches the documented
+// shard-lock order). Within the critical section each pair admits through
+// admitLocked, so the per-shard identity Fired = Enqueued + Squashed +
+// Overflowed holds at every instant, exactly as for scalar tstores; busy
+// and the queue-depth sample settle once per shard rather than once per
+// entry.
+func (rt *Runtime) admitBatch(sc *batchScratch, g uint64) {
+	if len(sc.fired) == 0 {
+		return
 	}
+	ths := rt.threadsSnap()
+	for s := range rt.shards {
+		if sc.perShard[s] == 0 {
+			continue
+		}
+		sh := &rt.shards[s]
+		enqueued := 0
+		sh.mu.Lock()
+		for _, ft := range sc.fired {
+			if uint32(ft.id)&rt.shardMask == uint32(s) &&
+				rt.admitLocked(sh, ths[ft.id], ft.id, ft.addr, g, &sc.inline) {
+				enqueued++
+			}
+		}
+		if enqueued > 0 {
+			rt.settleLocked(sh, enqueued)
+		}
+		sh.mu.Unlock()
+	}
+}
 
+// finishBatch runs a batch's inline overflows, returns its scratch, and —
+// under a seeded scheduler, if any word changed — takes the batch's ONE
+// preemption point, at its end. Callers hold no lock.
+func (rt *Runtime) finishBatch(sc *batchScratch, changed int) {
 	for _, e := range sc.inline {
 		rt.runInline(e)
 	}
-	sc.inline = sc.inline[:0]
 	rt.putScratch(sc)
 	if changed > 0 && rt.sched != nil {
-		// The whole batch is ONE preemption point, at its end.
 		rt.drain(true)
 	}
-	return changed
 }
 
 // signalShardLocked hands one wake token to a worker for newly dispatchable

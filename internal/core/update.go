@@ -24,22 +24,24 @@
 //     (best-effort TryLock — pending deltas survive a skipped merge and
 //     the next op retries).
 //
-// Changed merge words dispatch through the exact machinery scalar tstores
-// use (fireOne: shard lock, admitLocked's coverage re-check and Fired
-// identity), so the trigger-observable semantics match a scalar TStore of
-// the merged value. Under a seeded scheduler the whole merge is one
-// preemption point at its end, like a batch.
+// A merge is a batched triggering store of the merged values: every word
+// resolves against one registry snapshot, and the fired pairs admit
+// through the batch's dispatch step (admitBatch: one lock per target
+// shard, admitLocked's coverage re-check and Fired identity), so the
+// trigger-observable semantics match scalar TStores of the merged values.
+// Under a seeded scheduler the whole merge is one preemption point at its
+// end, like a batch.
 //
 // # Lock order
 //
 // A plane's merge lock (updatePlane.mergeMu) is taken before stripe locks
-// (inside Collect) and before shard locks (inside fireOne), never inside
-// either. rt.mu may be held while acquiring mergeMu — releaseRegionLocked
-// does so to kill a plane before freeing its region — which is safe
-// because the converse never happens: a mergeMu holder never acquires
-// rt.mu (armUpdates takes rt.mu but never merges; mergePlane touches only
-// stripe locks, shard locks and leaf locks). Inline overflow runs execute
-// after the merge lock is released.
+// (inside Collect) and before shard locks (inside admitBatch), never
+// inside either. rt.mu may be held while acquiring mergeMu —
+// releaseRegionLocked does so to kill a plane before freeing its region —
+// which is safe because the converse never happens: a mergeMu holder never
+// acquires rt.mu (armUpdates takes rt.mu but never merges; mergePlane
+// touches only stripe locks, shard locks and leaf locks). Inline overflow
+// runs execute after the merge lock is released.
 package core
 
 import (
@@ -201,9 +203,10 @@ func (rt *Runtime) mergeAllPlanes() {
 }
 
 // mergePlane collects a plane's pending deltas and applies the net effect
-// word by word: each changed word stores and fires exactly like a scalar
-// triggering store of the merged value; a word whose net effect is the
-// value already in memory is a silent merge and fires nothing. block
+// as one batched triggering store of the merged values; a word whose net
+// effect is the value already in memory is a silent merge and fires
+// nothing. Shard locks are taken under the merge lock, inline overflows
+// run after it is released. block
 // selects a blocking acquisition of the merge lock (sync points) versus
 // try-and-skip (Load, eager producers).
 func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
@@ -229,63 +232,45 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 		return
 	}
 	r := u.r
-	rec := rt.cfg.Recorder
 	var g uint64
 	if rt.check != nil {
 		g = goid()
 	}
-	// The inline list rides the pooled batch scratch so a steady merge
-	// cadence allocates nothing.
+	observed := rt.check != nil || rt.cfg.Recorder != nil
 	sc := rt.getScratch()
-	sc.inline = sc.inline[:0]
+	sc.begin(len(rt.shards)) //dtt:escape-ok -- inlined scratch warm-up; allocates only for a fresh scratch
+	// Like a batch, the whole merge resolves against one registry snapshot.
+	snap := rt.reg.Snapshot()
 	changed := 0
 	for k := 0; k < n; k++ {
 		i := p.MergeIndex(k)
 		// LoadQuiet: folding reads the base value as part of applying a
 		// store, not as a workload load — it must not reach probes.
 		_, v := p.MergeWord(k, r.buf.LoadQuiet(i))
-		rt.stats.mergedUpdates.Add(1)
-		if rec != nil {
-			// The merge store is a real store; charge the recorded trace
-			// as a tstore would.
-			rec.NoteTStore()
+		ch := r.buf.Store(i, v)
+		if observed {
+			// The merge store is a real store, charged as a tstore; the
+			// merge is the visibility point, so the happens-before stamp
+			// carries the merging agent's clock.
+			rt.noteStore(g, r, i, ch)
 		}
-		if !r.buf.Store(i, v) {
-			rt.stats.silentMerges.Add(1)
-			if rt.check != nil {
-				rt.check.OnSilentStore(g, r.Name(), i, r.buf.Addr(i))
-			}
+		if !ch {
 			continue
 		}
 		changed++
 		addr := r.buf.Addr(i)
-		if rt.check != nil {
-			// Merge is the visibility point: the happens-before stamp
-			// carries the merging agent's clock.
-			rt.check.OnStore(g, r.Name(), i, addr)
-		}
-		if !rt.reg.Covers(addr) {
-			continue
-		}
-		rt.reg.Each(addr, func(id queue.ThreadID) {
-			rt.fireOne(id, addr, g, &sc.inline)
-		})
+		snap.Each(addr, func(id queue.ThreadID) { sc.fire(id, addr, rt.shardMask) })
 	}
+	rt.stats.mergedUpdates.Add(int64(n))
+	if silent := n - changed; silent > 0 {
+		rt.stats.silentMerges.Add(int64(silent))
+	}
+	rt.admitBatch(sc, g)
 	rt.stats.merges.Add(1)
 	if rt.tel != nil {
 		rt.tel.MergeLatency.Observe(telemetry.Now() - t0)
 		rt.tel.DeltaOccupancy.Observe(int64(n))
 	}
 	u.mergeMu.Unlock()
-
-	for _, e := range sc.inline {
-		rt.runInline(e)
-	}
-	sc.inline = sc.inline[:0]
-	rt.putScratch(sc)
-	if changed > 0 && rt.sched != nil {
-		// The whole merge is ONE preemption point, at its end, so seeded
-		// interleavings replay regardless of how many words merged.
-		rt.drain(true)
-	}
+	rt.finishBatch(sc, changed)
 }

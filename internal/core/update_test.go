@@ -130,20 +130,27 @@ func TestTUpdateEquivalence(t *testing.T) {
 					want[o.i] = o.op.Combine(want[o.i], o.v)
 				}
 
-				observe := func(rt *Runtime, play func(data *Region)) ([]mem.Word, map[int]mem.Word) {
+				// Two observers: one on every word, one on the upper half.
+				// They sit in different shards at Shards 2 and 4, so one
+				// merge admits into two shards.
+				observe := func(rt *Runtime, play func(data *Region)) ([]mem.Word, [2]map[int]mem.Word) {
 					data := rt.NewRegion("data", words)
 					var mu sync.Mutex
-					seen := make(map[int]mem.Word)
-					id := rt.Register("obs", func(tg Trigger) {
-						mu.Lock()
-						seen[tg.Index] = tg.Region.Load(tg.Index)
-						mu.Unlock()
-					})
-					if err := rt.Attach(id, data, 0, words); err != nil {
-						t.Fatal(err)
+					seen := [2]map[int]mem.Word{{}, {}}
+					var ids [2]ThreadID
+					for k, lo := range []int{0, words / 2} {
+						ids[k] = rt.Register(fmt.Sprintf("obs%d", k), func(tg Trigger) {
+							mu.Lock()
+							seen[k][tg.Index] = tg.Region.Load(tg.Index)
+							mu.Unlock()
+						})
+						if err := rt.Attach(ids[k], data, lo, words); err != nil {
+							t.Fatal(err)
+						}
 					}
 					play(data)
-					rt.Wait(id)
+					rt.Wait(ids[0])
+					rt.Wait(ids[1])
 					return data.Snapshot(), seen
 				}
 
@@ -168,15 +175,17 @@ func TestTUpdateEquivalence(t *testing.T) {
 					}
 				}
 				// Trigger-observable equivalence: at the sync point both paths
-				// must have shown the thread the same final value for the same
+				// must have shown each thread the same final value for the same
 				// set of changed words (a word merging to its initial value is
 				// silent on both paths).
-				if len(gotSeen) != len(wantSeen) {
-					t.Errorf("update path observed %d words, scalar path %d", len(gotSeen), len(wantSeen))
-				}
-				for i, v := range wantSeen {
-					if gotSeen[i] != v {
-						t.Errorf("word %d observed as %d on the update path, %d on the scalar path", i, gotSeen[i], v)
+				for k := range wantSeen {
+					if len(gotSeen[k]) != len(wantSeen[k]) {
+						t.Errorf("obs%d: update path observed %d words, scalar path %d", k, len(gotSeen[k]), len(wantSeen[k]))
+					}
+					for i, v := range wantSeen[k] {
+						if gotSeen[k][i] != v {
+							t.Errorf("obs%d: word %d observed as %d on the update path, %d on the scalar path", k, i, gotSeen[k][i], v)
+						}
 					}
 				}
 			})

@@ -10,7 +10,7 @@ func TestEnqueueClockStamp(t *testing.T) {
 	if st := q.Enqueue(1, 100); st != Enqueued {
 		t.Fatalf("Enqueue = %v", st)
 	}
-	if e, _ := q.Dequeue(); e.T0 != 0 {
+	if e, _ := q.DequeueFirst(anyEntry); e.T0 != 0 {
 		t.Fatalf("T0 = %d without a clock, want 0", e.T0)
 	}
 
@@ -22,7 +22,7 @@ func TestEnqueueClockStamp(t *testing.T) {
 	if st := q.Enqueue(1, 100); st != Squashed {
 		t.Fatalf("re-trigger = %v, want Squashed", st)
 	}
-	e, ok := q.Dequeue()
+	e, ok := q.DequeueFirst(anyEntry)
 	if !ok || e.T0 != 1001 {
 		t.Fatalf("T0 = %d (ok=%v), want the first enqueue's stamp 1001", e.T0, ok)
 	}

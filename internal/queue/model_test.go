@@ -169,10 +169,10 @@ func TestQueueAgainstModel(t *testing.T) {
 							t.Fatalf("step %d: Enqueue(%d, %#x) = %v, model says %v", step, id, addr, got, want)
 						}
 					case op < 7:
-						got, gotOK := q.Dequeue()
+						got, gotOK := q.DequeueFirst(anyEntry)
 						want, wantOK := m.dequeue()
 						if got != want || gotOK != wantOK {
-							t.Fatalf("step %d: Dequeue() = %+v,%v, model says %+v,%v", step, got, gotOK, want, wantOK)
+							t.Fatalf("step %d: head DequeueFirst = %+v,%v, model says %+v,%v", step, got, gotOK, want, wantOK)
 						}
 					case op == 7:
 						// Skip one thread, as the immediate backend's
@@ -237,11 +237,11 @@ func TestQueueModelDrain(t *testing.T) {
 		q.Enqueue(ThreadID(i%2), mem.Addr(8*i))
 	}
 	q.DequeueAt(1)
-	q.Dequeue()
+	q.DequeueFirst(anyEntry)
 	if n := q.Squash(0); n != 1 {
 		t.Fatalf("Squash(0) removed %d entries, want 1", n)
 	}
-	q.Dequeue()
+	q.DequeueFirst(anyEntry)
 	c := q.Counters()
 	want := Counters{Enqueued: 4, Overflowed: 2, Dequeued: 3, SquashedOut: 1, Peak: 4}
 	if c != want {

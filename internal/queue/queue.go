@@ -213,11 +213,12 @@ func (p *pendingTab) dec(k dedupKey) {
 }
 
 // ThreadQueue is the fixed-capacity pending-trigger queue. Entries enter in
-// trigger order and leave in FIFO order. Storage is a ring buffer sized at
-// construction, so Enqueue and Dequeue move no entries and allocate nothing;
-// a per-thread pending count makes the Pending predicate — which the
-// runtime's Wait wakeup condition evaluates under a shard lock — O(1)
-// instead of a queue scan.
+// trigger order and leave oldest first among those the caller can run
+// (DequeueFirst) or at a chosen position (DequeueAt). Storage is a ring
+// buffer sized at construction, so Enqueue and a removal at the head move
+// no entries, and no removal allocates; a per-thread pending count makes
+// the Pending predicate — which the runtime's Wait wakeup condition
+// evaluates under a shard lock — O(1) instead of a queue scan.
 type ThreadQueue struct {
 	cap   int
 	dedup DedupPolicy
@@ -255,7 +256,7 @@ type Counters struct {
 	Squashed int64
 	// Overflowed counts offers that found the ring full.
 	Overflowed int64
-	// Dequeued counts entries removed by Dequeue/DequeueFirst.
+	// Dequeued counts entries removed by DequeueFirst/DequeueAt.
 	Dequeued int64
 	// SquashedOut counts pending entries removed by Squash (tcancel).
 	SquashedOut int64
@@ -349,24 +350,6 @@ func (q *ThreadQueue) Enqueue(t ThreadID, addr mem.Addr) EnqueueStatus {
 		q.c.Peak = q.n
 	}
 	return Enqueued
-}
-
-// Dequeue removes and returns the oldest entry. ok is false when the queue
-// is empty.
-func (q *ThreadQueue) Dequeue() (e Entry, ok bool) {
-	if q.n == 0 {
-		return Entry{}, false
-	}
-	e = q.ring[q.head]
-	q.head++
-	if q.head == q.cap {
-		q.head = 0
-	}
-	q.n--
-	q.perThread[e.Thread]--
-	q.dropKey(e)
-	q.c.Dequeued++
-	return e, true
 }
 
 // DequeueFirst removes and returns the oldest entry satisfying pred,

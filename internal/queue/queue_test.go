@@ -16,21 +16,21 @@ func TestRegistryAttachLookup(t *testing.T) {
 	if err := r.Attach(2, 150, 250); err != nil {
 		t.Fatal(err)
 	}
-	got := r.Lookup(175, nil)
+	got := lookup(r, 175)
 	if len(got) != 2 {
-		t.Fatalf("Lookup(175) = %v, want both threads", got)
+		t.Fatalf("lookup(175) = %v, want both threads", got)
 	}
-	if got := r.Lookup(100, nil); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Lookup(100) = %v, want [1]", got)
+	if got := lookup(r, 100); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("lookup(100) = %v, want [1]", got)
 	}
-	if got := r.Lookup(200, nil); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Lookup(200) = %v (hi is exclusive), want [2]", got)
+	if got := lookup(r, 200); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("lookup(200) = %v (hi is exclusive), want [2]", got)
 	}
-	if got := r.Lookup(99, nil); len(got) != 0 {
-		t.Fatalf("Lookup(99) = %v, want none", got)
+	if got := lookup(r, 99); len(got) != 0 {
+		t.Fatalf("lookup(99) = %v, want none", got)
 	}
-	if got := r.Lookup(250, nil); len(got) != 0 {
-		t.Fatalf("Lookup(250) = %v, want none", got)
+	if got := lookup(r, 250); len(got) != 0 {
+		t.Fatalf("lookup(250) = %v, want none", got)
 	}
 }
 
@@ -52,22 +52,23 @@ func TestRegistryDetach(t *testing.T) {
 	if n := r.Detach(1); n != 2 {
 		t.Fatalf("Detach removed %d, want 2", n)
 	}
-	if got := r.Lookup(32, nil); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("after detach, Lookup(32) = %v", got)
+	if got := lookup(r, 32); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("after detach, lookup(32) = %v", got)
 	}
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d after detach", r.Len())
+	if len(r.atts) != 1 {
+		t.Fatalf("%d attachments after detach, want 1", len(r.atts))
 	}
 }
 
 func TestRegistryCovers(t *testing.T) {
 	r := NewRegistry()
 	r.Attach(3, 1000, 2000)
-	if !r.Covers(1000) || !r.Covers(1999) {
-		t.Fatalf("Covers missed in-range addresses")
+	s := r.Snapshot()
+	if len(matches(s, 1000)) != 1 || len(matches(s, 1999)) != 1 {
+		t.Fatalf("Each missed in-range addresses")
 	}
-	if r.Covers(999) || r.Covers(2000) {
-		t.Fatalf("Covers matched out-of-range addresses")
+	if len(matches(s, 999)) != 0 || len(matches(s, 2000)) != 0 {
+		t.Fatalf("Each matched out-of-range addresses")
 	}
 }
 
@@ -75,15 +76,15 @@ func TestRegistryLookupAfterLateAttach(t *testing.T) {
 	// Attach after a lookup must re-sort, not serve stale results.
 	r := NewRegistry()
 	r.Attach(1, 500, 600)
-	r.Lookup(550, nil)
+	lookup(r, 550)
 	r.Attach(2, 100, 200)
-	if got := r.Lookup(150, nil); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Lookup(150) after late attach = %v", got)
+	if got := lookup(r, 150); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("lookup(150) after late attach = %v", got)
 	}
 }
 
 func TestRegistryLookupProperty(t *testing.T) {
-	// Lookup must agree with a brute-force scan for arbitrary attachments.
+	// Snapshot.Each must agree with a brute-force scan for arbitrary attachments.
 	f := func(ranges []struct{ Lo, Span uint8 }, probe uint8) bool {
 		r := NewRegistry()
 		for i, rg := range ranges {
@@ -91,7 +92,7 @@ func TestRegistryLookupProperty(t *testing.T) {
 			hi := lo + mem.Addr(rg.Span%32) + 1
 			r.Attach(ThreadID(i), lo, hi)
 		}
-		got := r.Lookup(mem.Addr(probe), nil)
+		got := lookup(r, mem.Addr(probe))
 		want := 0
 		for i, rg := range ranges {
 			lo := mem.Addr(rg.Lo)
@@ -118,7 +119,7 @@ func TestRegistryLookupProperty(t *testing.T) {
 
 func TestRegistryManyRangesStress(t *testing.T) {
 	// Hundreds of overlapping attachments with interleaved detaches:
-	// Lookup must always agree with a brute-force scan.
+	// Snapshot.Each must always agree with a brute-force scan.
 	r := NewRegistry()
 	type att struct {
 		id     ThreadID
@@ -152,7 +153,7 @@ func TestRegistryManyRangesStress(t *testing.T) {
 			live = kept
 		}
 		probe := mem.Addr(next(4500))
-		got := r.Lookup(probe, nil)
+		got := lookup(r, probe)
 		want := 0
 		for _, a := range live {
 			if probe >= a.lo && probe < a.hi {
@@ -160,10 +161,13 @@ func TestRegistryManyRangesStress(t *testing.T) {
 			}
 		}
 		if len(got) != want {
-			t.Fatalf("step %d: Lookup(%d) = %d matches, want %d", step, probe, len(got), want)
+			t.Fatalf("step %d: lookup(%d) = %d matches, want %d", step, probe, len(got), want)
 		}
 	}
 }
+
+// anyEntry makes DequeueFirst a plain head removal.
+func anyEntry(Entry) bool { return true }
 
 func TestQueueFIFO(t *testing.T) {
 	q := NewThreadQueue(4, DedupPerAddress)
@@ -171,12 +175,12 @@ func TestQueueFIFO(t *testing.T) {
 	q.Enqueue(2, 0x20)
 	q.Enqueue(3, 0x30)
 	for want := ThreadID(1); want <= 3; want++ {
-		e, ok := q.Dequeue()
+		e, ok := q.DequeueFirst(anyEntry)
 		if !ok || e.Thread != want {
 			t.Fatalf("Dequeue = %v,%v, want thread %d", e, ok, want)
 		}
 	}
-	if _, ok := q.Dequeue(); ok {
+	if _, ok := q.DequeueFirst(anyEntry); ok {
 		t.Fatalf("Dequeue from empty queue succeeded")
 	}
 }
@@ -192,7 +196,7 @@ func TestQueueDedupPerAddress(t *testing.T) {
 	if s := q.Enqueue(1, 0x18); s != Enqueued {
 		t.Fatalf("same thread, new addr: %v, want enqueued", s)
 	}
-	q.Dequeue()
+	q.DequeueFirst(anyEntry)
 	if s := q.Enqueue(1, 0x10); s != Enqueued {
 		t.Fatalf("re-enqueue after dequeue: %v, want enqueued", s)
 	}
@@ -207,7 +211,7 @@ func TestQueueDedupPerLine(t *testing.T) {
 	if s := q.Enqueue(1, 0x140); s != Enqueued {
 		t.Fatalf("next line gave %v, want enqueued", s)
 	}
-	q.Dequeue()
+	q.DequeueFirst(anyEntry)
 	if s := q.Enqueue(1, 0x118); s != Enqueued {
 		t.Fatalf("re-enqueue after line dequeued gave %v", s)
 	}
@@ -235,7 +239,7 @@ func TestQueueDedupNone(t *testing.T) {
 		t.Fatalf("Len = %d, want 3", q.Len())
 	}
 	for i := 0; i < 3; i++ {
-		if _, ok := q.Dequeue(); !ok {
+		if _, ok := q.DequeueFirst(anyEntry); !ok {
 			t.Fatalf("dequeue %d failed", i)
 		}
 	}
@@ -258,7 +262,7 @@ func TestQueueDedupNoneNeverSquashes(t *testing.T) {
 			t.Fatalf("enqueue %d at %#x: %v (DedupNone must never squash)", i, a, s)
 		}
 		if q.Len() == q.Cap() {
-			q.Dequeue()
+			q.DequeueFirst(anyEntry)
 		}
 	}
 	c := q.Counters()
@@ -286,7 +290,7 @@ func TestQueueRingWraparound(t *testing.T) {
 			}
 			next++
 		}
-		e, ok := q.Dequeue()
+		e, ok := q.DequeueFirst(anyEntry)
 		if !ok {
 			t.Fatalf("round %d: dequeue failed", round)
 		}
@@ -323,7 +327,7 @@ func TestQueuePendingCount(t *testing.T) {
 	if q.PendingCount(1) != 2 || q.PendingCount(2) != 1 || q.PendingCount(3) != 0 {
 		t.Fatalf("PendingCount = %d,%d,%d", q.PendingCount(1), q.PendingCount(2), q.PendingCount(3))
 	}
-	q.Dequeue() // removes (1, 0x10)
+	q.DequeueFirst(anyEntry) // removes (1, 0x10)
 	if q.PendingCount(1) != 1 {
 		t.Fatalf("after Dequeue: PendingCount(1) = %d", q.PendingCount(1))
 	}
@@ -373,7 +377,7 @@ func TestQueueSquash(t *testing.T) {
 	if s := q.Enqueue(1, 0x10); s != Enqueued {
 		t.Fatalf("enqueue after squash: %v", s)
 	}
-	e, ok := q.Dequeue()
+	e, ok := q.DequeueFirst(anyEntry)
 	if !ok || e.Thread != 2 {
 		t.Fatalf("surviving entry = %v,%v, want thread 2", e, ok)
 	}
@@ -394,7 +398,7 @@ func TestQueueCountersConsistent(t *testing.T) {
 			q.Enqueue(tid, mem.Addr(op.A)*8)
 			switch op.A % 5 {
 			case 0:
-				q.Dequeue()
+				q.DequeueFirst(anyEntry)
 			case 1:
 				q.Squash(tid)
 			}
@@ -416,7 +420,7 @@ func TestQueueSquashAccounting(t *testing.T) {
 	q.Enqueue(1, 0x10)
 	q.Enqueue(2, 0x20)
 	q.Enqueue(1, 0x18)
-	q.Dequeue() // (1, 0x10)
+	q.DequeueFirst(anyEntry) // (1, 0x10)
 	if n := q.Squash(1); n != 1 {
 		t.Fatalf("Squash removed %d, want 1", n)
 	}
@@ -443,7 +447,7 @@ func TestQueueDequeueFirst(t *testing.T) {
 		t.Fatalf("DequeueFirst = %v,%v, want thread 2", e, ok)
 	}
 	// Remaining order preserved.
-	e, _ = q.Dequeue()
+	e, _ = q.DequeueFirst(anyEntry)
 	if e.Thread != 1 || e.Addr != 0x10 {
 		t.Fatalf("order disturbed: %v", e)
 	}
@@ -455,35 +459,15 @@ func TestQueueDequeueFirst(t *testing.T) {
 		t.Fatalf("Len = %d after failed DequeueFirst", q.Len())
 	}
 	// The dedup key must be freed by DequeueFirst too.
-	q.Dequeue()
+	q.DequeueFirst(anyEntry)
 	q.Enqueue(2, 0x20)
 	if s := q.Enqueue(2, 0x20); s != Squashed {
 		t.Fatalf("dedup bookkeeping broken after DequeueFirst: %v", s)
 	}
 }
 
-func TestRegistryAccessors(t *testing.T) {
-	r := NewRegistry()
-	r.Attach(1, 0, 64)
-	r.Attach(2, 32, 96)
-	atts := r.Attachments()
-	if len(atts) != 2 {
-		t.Fatalf("Attachments = %v", atts)
-	}
-	// The returned slice is a copy.
-	atts[0].Thread = 99
-	if r.Attachments()[0].Thread == 99 {
-		t.Fatalf("Attachments aliases internal state")
-	}
-	r.Lookup(40, nil) // 2 matches
-	r.Lookup(0, nil)  // 1 match
-	if r.Lookups() != 2 || r.Matches() != 3 {
-		t.Fatalf("Lookups=%d Matches=%d, want 2/3", r.Lookups(), r.Matches())
-	}
-}
-
-// TestRegistryConcurrentReads exercises the lock-free read side: Covers and
-// Lookup race against a single mutator (the contract: mutations serialised
+// TestRegistryConcurrentReads exercises the lock-free read side: snapshot
+// reads race against a single mutator (the contract: mutations serialised
 // by the caller, reads free). Run under -race this checks the snapshot
 // publication.
 func TestRegistryConcurrentReads(t *testing.T) {
@@ -494,7 +478,6 @@ func TestRegistryConcurrentReads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var dst []ThreadID
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -502,13 +485,10 @@ func TestRegistryConcurrentReads(t *testing.T) {
 				default:
 				}
 				addr := mem.Addr(i%4096) * 8
-				if r.Covers(addr) {
-					dst = r.Lookup(addr, dst[:0])
-					for _, id := range dst {
-						if id < 0 || id >= 8 {
-							t.Errorf("Lookup returned impossible thread %d", id)
-							return
-						}
+				for _, id := range lookup(r, addr) {
+					if id < 0 || id >= 8 {
+						t.Errorf("Each returned impossible thread %d", id)
+						return
 					}
 				}
 			}

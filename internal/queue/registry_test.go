@@ -7,12 +7,10 @@ import (
 	"dtt/internal/mem"
 )
 
-// The registry's read plane has two generations of API: the per-probe
-// reads (Covers/Lookup/Each against the live published index) and the
-// batch reads (Snapshot pinning one index, then Each/AppendMatches/
-// Overlapping/Covers against it). These tests pin both against a naive
-// scan of Attachments(), including the match order contract (index order
-// = sorted by range start).
+// The registry has one read: Snapshot pins an index, then Each and
+// Overlapping resolve against it. These tests pin both against a naive
+// scan of the attachment list, including the match order contract (index
+// order = sorted by range start).
 
 func testRegistry(t *testing.T) *Registry {
 	t.Helper()
@@ -34,7 +32,7 @@ func testRegistry(t *testing.T) *Registry {
 // naiveMatches is the reference resolution: every attachment covering
 // addr, in order of range start.
 func naiveMatches(r *Registry, addr mem.Addr) []ThreadID {
-	atts := r.Attachments()
+	atts := append([]Attachment(nil), r.atts...)
 	sort.Slice(atts, func(i, j int) bool { return atts[i].Lo < atts[j].Lo })
 	var out []ThreadID
 	for _, a := range atts {
@@ -43,6 +41,18 @@ func naiveMatches(r *Registry, addr mem.Addr) []ThreadID {
 		}
 	}
 	return out
+}
+
+// lookup returns the threads a fresh snapshot attaches to addr, in Each
+// order.
+func lookup(r *Registry, addr mem.Addr) []ThreadID {
+	return matches(r.Snapshot(), addr)
+}
+
+func matches(s Snapshot, addr mem.Addr) []ThreadID {
+	var got []ThreadID
+	s.Each(addr, func(id ThreadID) { got = append(got, id) })
+	return got
 }
 
 func eqIDs(a, b []ThreadID) bool {
@@ -62,34 +72,16 @@ func TestRegistryReadsAgreeWithNaiveScan(t *testing.T) {
 	s := r.Snapshot()
 	for addr := mem.Addr(0); addr < 384; addr += 8 {
 		want := naiveMatches(r, addr)
-
-		if got := r.Covers(addr); got != (len(want) > 0) {
-			t.Fatalf("Covers(%d) = %v, want %v", addr, got, len(want) > 0)
-		}
-		if got := s.Covers(addr); got != (len(want) > 0) {
-			t.Fatalf("Snapshot.Covers(%d) = %v, want %v", addr, got, len(want) > 0)
-		}
-		if got := r.Lookup(addr, nil); !eqIDs(got, want) {
-			t.Fatalf("Lookup(%d) = %v, want %v", addr, got, want)
-		}
-		var each []ThreadID
-		r.Each(addr, func(id ThreadID) { each = append(each, id) })
-		if !eqIDs(each, want) {
-			t.Fatalf("Each(%d) = %v, want %v", addr, each, want)
-		}
-		var snapEach []ThreadID
-		if n := s.Each(addr, func(id ThreadID) { snapEach = append(snapEach, id) }); n != len(want) || !eqIDs(snapEach, want) {
-			t.Fatalf("Snapshot.Each(%d) = %v (n=%d), want %v", addr, snapEach, n, want)
-		}
-		if got := s.AppendMatches(addr, nil); !eqIDs(got, want) {
-			t.Fatalf("Snapshot.AppendMatches(%d) = %v, want %v", addr, got, want)
+		var got []ThreadID
+		if n := s.Each(addr, func(id ThreadID) { got = append(got, id) }); n != len(want) || !eqIDs(got, want) {
+			t.Fatalf("Snapshot.Each(%d) = %v (n=%d), want %v", addr, got, n, want)
 		}
 	}
 }
 
 // TestRegistrySnapshotPinsOneInstant: a pinned snapshot keeps resolving
-// the attachment set it was taken against, while live reads and fresh
-// snapshots see mutations — the property batched stores rely on so a
+// the attachment set it was taken against, while fresh snapshots see
+// mutations — the property batched stores rely on so a
 // concurrent Attach lands entirely before or entirely after a batch.
 func TestRegistrySnapshotPinsOneInstant(t *testing.T) {
 	r := testRegistry(t)
@@ -97,11 +89,11 @@ func TestRegistrySnapshotPinsOneInstant(t *testing.T) {
 	if err := r.Attach(4, 512, 576); err != nil {
 		t.Fatal(err)
 	}
-	if old.Covers(512) {
+	if len(matches(old, 512)) != 0 {
 		t.Fatal("pinned snapshot sees an attachment made after it was taken")
 	}
-	if !r.Snapshot().Covers(512) || !r.Covers(512) {
-		t.Fatal("fresh snapshot / live read misses the new attachment")
+	if len(lookup(r, 512)) != 1 {
+		t.Fatal("fresh snapshot misses the new attachment")
 	}
 	if r.Detach(4) != 1 {
 		t.Fatal("Detach(4) did not remove the attachment")
@@ -132,35 +124,12 @@ func TestRegistryOverlapping(t *testing.T) {
 	}
 }
 
-// TestRegistryLookupAccounting: per-probe reads count one lookup each and
-// one match per returned thread; snapshot reads count nothing until the
-// caller settles them with NoteLookups (zero settles are free).
-func TestRegistryLookupAccounting(t *testing.T) {
-	r := testRegistry(t)
-	r.Lookup(40, nil)              // 2 matches
-	r.Each(300, func(ThreadID) {}) // 1 match
-	r.Each(200, func(ThreadID) {}) // covered-gap probe, 0 matches
-	if l, m := r.Lookups(), r.Matches(); l != 3 || m != 3 {
-		t.Fatalf("after per-probe reads: lookups %d matches %d, want 3 and 3", l, m)
-	}
-	s := r.Snapshot()
-	s.AppendMatches(40, nil)
-	if l, m := r.Lookups(), r.Matches(); l != 3 || m != 3 {
-		t.Fatalf("snapshot read touched the counters: lookups %d matches %d", l, m)
-	}
-	r.NoteLookups(0, 0)
-	r.NoteLookups(5, 2)
-	if l, m := r.Lookups(), r.Matches(); l != 8 || m != 5 {
-		t.Fatalf("after NoteLookups: lookups %d matches %d, want 8 and 5", l, m)
-	}
-}
-
 // TestRegistryEmptyAndErrors: the empty index rejects every probe with
 // the bounds pre-check, inverted ranges are attach errors, and detaching
 // the last attachment returns the registry to the empty index.
 func TestRegistryEmptyAndErrors(t *testing.T) {
 	r := NewRegistry()
-	if r.Covers(0) || r.Snapshot().Covers(0) {
+	if len(lookup(r, 0)) != 0 {
 		t.Fatal("empty registry covers an address")
 	}
 	if got := r.Snapshot().Overlapping(0, 1<<30, nil); len(got) != 0 {
@@ -175,8 +144,8 @@ func TestRegistryEmptyAndErrors(t *testing.T) {
 	if err := r.Attach(1, 0, 64); err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 1 || !r.Covers(8) {
-		t.Fatalf("Len %d Covers(8) %v after one attach", r.Len(), r.Covers(8))
+	if len(r.atts) != 1 || len(lookup(r, 8)) != 1 {
+		t.Fatalf("%d attachments, lookup(8) = %v after one attach", len(r.atts), lookup(r, 8))
 	}
 	if n := r.Detach(1); n != 1 {
 		t.Fatalf("Detach removed %d, want 1", n)
@@ -184,7 +153,7 @@ func TestRegistryEmptyAndErrors(t *testing.T) {
 	if r.Detach(1) != 0 {
 		t.Fatal("second Detach removed something")
 	}
-	if r.Covers(8) || r.Len() != 0 {
+	if len(lookup(r, 8)) != 0 || len(r.atts) != 0 {
 		t.Fatal("registry not empty after detaching everything")
 	}
 }

@@ -442,6 +442,44 @@ func TestServeAttachOversizeRejected(t *testing.T) {
 	}
 }
 
+// TestServeAttachBadRangeRegistersNothing: an ATTACH whose range the
+// region cannot hold gets an ERROR and leaves no support thread behind,
+// however often it is repeated; the session then attaches and batches
+// normally.
+func TestServeAttachBadRangeRegistersNothing(t *testing.T) {
+	rt, srv, addr := newServerPair(t,
+		core.Config{Backend: core.BackendImmediate, Workers: 2}, Options{})
+	defer rt.Close()
+	defer srv.Close()
+
+	cs, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cs.Close()
+
+	bad := [][2]int{{8, 4}, {8, 4}, {8, 4}, {4, 4}, {0, 9}}
+	for _, r := range bad {
+		if _, err := cs.Attach("r", 8, r[0], r[1]); err == nil {
+			t.Errorf("Attach [%d, %d) of an 8-word region did not error", r[0], r[1])
+		}
+	}
+	h, err := cs.Attach("r", 8, 0, 8)
+	if err != nil {
+		t.Fatalf("valid Attach after bad ranges: %v", err)
+	}
+	if changed, err := cs.Batch(h, 0, []mem.Word{1, 2}); err != nil || changed != 2 {
+		t.Fatalf("Batch after bad ranges: changed %d, err %v", changed, err)
+	}
+	// The valid ATTACH holds thread 0, so the next registration is 1.
+	if id := rt.Register("probe", func(core.Trigger) {}); id != 1 {
+		t.Errorf("next Register = %d, want 1: bad ATTACHes left threads behind", id)
+	}
+	if got, want := srv.Counters().Errors, int64(len(bad)); got != want {
+		t.Errorf("Errors = %d, want %d", got, want)
+	}
+}
+
 // TestServeHandshakeViolations: anything but a well-formed HELLO as the
 // first frame closes the connection without a session reply.
 func TestServeHandshakeViolations(t *testing.T) {

@@ -277,6 +277,12 @@ func (s *session) handleAttach(words, lo, hi uint32, name string) {
 		s.sendErr(fmt.Sprintf("serve: ATTACH of %d words exceeds the %d-word region limit", words, maxRegionWords))
 		return
 	}
+	// Checked before Register: a range Attach would reject must not leave a
+	// registered thread behind.
+	if lo >= hi || hi > words {
+		s.sendErr(fmt.Sprintf("serve: ATTACH range [%d, %d) outside region of %d words", lo, hi, words))
+		return
+	}
 	r, err := s.ns.Region(name, int(words))
 	if err != nil {
 		s.sendErr(err.Error())
