@@ -35,8 +35,29 @@ func allocRuntime(t *testing.T, telemetry bool) (*dtt.Runtime, *dtt.Region, *dtt
 	return rt, hot, cold
 }
 
+// overflowRuntime is allocRuntime's shape with a one-entry queue on the
+// inline model: a trigger of word 0 fills the queue, so every later
+// changing store to another word overflows and runs its thread in line.
+func overflowRuntime(t *testing.T, telemetry bool) (*dtt.Runtime, *dtt.Region) {
+	t.Helper()
+	rt, err := dtt.New(dtt.Config{Backend: dtt.BackendDeferred, QueueCapacity: 1, Telemetry: telemetry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Close() })
+	hot := rt.NewRegion("hot", 1024)
+	id := rt.Register("noop", func(dtt.Trigger) {})
+	if err := rt.Attach(id, hot, 0, 1024); err != nil {
+		t.Fatal(err)
+	}
+	hot.TStore(0, 1)
+	return rt, hot
+}
+
 // assertFastPathAllocs measures the four fast paths against the runtime
-// label (telemetry off/on): both configurations promise 0 allocs/op.
+// label (telemetry off/on): both configurations promise 0 allocs/op. So
+// does a store that overflows the queue on the inline model and runs its
+// thread in line.
 func assertFastPathAllocs(t *testing.T, label string, telemetry bool) {
 	rt, hot, cold := allocRuntime(t, telemetry)
 
@@ -76,6 +97,21 @@ func assertFastPathAllocs(t *testing.T, label string, telemetry bool) {
 		cold.TStore(0, u)
 	}); got != 0 {
 		t.Errorf("%s: uncovered tstore allocates %.1f allocs/op, want 0", label, got)
+	}
+
+	// Overflowing store: the queue holds word 0's entry, so a changing
+	// store to word 1 overflows and runs the thread in line.
+	ort, ohot := overflowRuntime(t, telemetry)
+	before := ort.Stats().InlineRuns
+	var o dtt.Word
+	if got := testing.AllocsPerRun(200, func() {
+		o++
+		ohot.TStore(1, o)
+	}); got != 0 {
+		t.Errorf("%s: overflowing tstore allocates %.1f allocs/op, want 0", label, got)
+	}
+	if ort.Stats().InlineRuns == before {
+		t.Errorf("%s: overflow case ran nothing in line", label)
 	}
 }
 
@@ -142,6 +178,27 @@ func assertBatchFastPathAllocs(t *testing.T, label string, telemetry bool) {
 		cold.TStoreBatch(0, vals[:8])
 	}); got != 0 {
 		t.Errorf("%s: uncovered batch allocates %.1f allocs/op, want 0", label, got)
+	}
+
+	// Overflowing batch: the queue holds word 0's entry, so every changed
+	// word of the batch overflows; all run in line under one run-token
+	// acquisition. The first batch warms the scratch's inline list.
+	ort, ohot := overflowRuntime(t, telemetry)
+	var o dtt.Word
+	overflow := func() {
+		o++
+		for i := range vals {
+			vals[i] = o
+		}
+		ohot.TStoreBatch(1, vals[:])
+	}
+	overflow()
+	before := ort.Stats().InlineRuns
+	if got := testing.AllocsPerRun(200, overflow); got != 0 {
+		t.Errorf("%s: overflowing batch allocates %.1f allocs/op, want 0", label, got)
+	}
+	if ort.Stats().InlineRuns == before {
+		t.Errorf("%s: overflow case ran nothing in line", label)
 	}
 }
 

@@ -365,6 +365,55 @@ func BenchmarkTStoreFiring(b *testing.B) {
 	}
 }
 
+// overflowBench is the shape of equake's DTT kernel on the concurrent
+// model: one thread attached to 768 words, the default 64-entry queue and
+// two workers. Each op stores the next of two alternating vectors that
+// differ in every other word, so 384 words change and all but the first
+// 64 overflow and run on the storing goroutine, then waits for the thread.
+// store issues the vector; ns/store is per changed word.
+func overflowBench(b *testing.B, store func(r *dtt.Region, vals []dtt.Word)) {
+	const words = 768
+	rt, err := dtt.New(dtt.Config{Backend: dtt.BackendImmediate, Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(rt.Close)
+	r := rt.NewRegion("disp", words)
+	id := rt.Register("smvp", func(dtt.Trigger) {})
+	if err := rt.Attach(id, r, 0, words); err != nil {
+		b.Fatal(err)
+	}
+	var vecs [2][words]dtt.Word
+	for i := 0; i < words; i++ {
+		vecs[0][i] = dtt.Word(i)
+		vecs[1][i] = dtt.Word(i + i%2*words)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store(r, vecs[i%2][:])
+		rt.Wait(id)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(words/2), "ns/store")
+}
+
+// BenchmarkTStoreBatchOverflow issues each vector as one TStoreBatch: one
+// store call whose overflowed words all belong to one thread.
+func BenchmarkTStoreBatchOverflow(b *testing.B) {
+	overflowBench(b, func(r *dtt.Region, vals []dtt.Word) { r.TStoreBatch(0, vals) })
+}
+
+// BenchmarkTStoreOverflow issues the same vectors as scalar TStores, so
+// every overflowing word is its own store call.
+func BenchmarkTStoreOverflow(b *testing.B) {
+	overflowBench(b, func(r *dtt.Region, vals []dtt.Word) {
+		for i, v := range vals {
+			r.TStore(i, v)
+		}
+	})
+}
+
 // The BenchmarkTStoreTelemetry* family re-measures the same fast paths with
 // the telemetry plane on (per-shard histograms, enqueue timestamps, pprof
 // labels). `make bench-telemetry` runs both families side by side; the

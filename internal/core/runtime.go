@@ -55,8 +55,16 @@ type threadEntry struct {
 	running bool
 	owner   uint64
 
+	// handoff holds overflowed triggers of this thread that a goroutine
+	// holding some other thread's run token found this token taken. That
+	// goroutine must not wait (two holders waiting for each other's
+	// tokens deadlock), so it leaves the entry here and the holder of this
+	// token runs it before releasing the token (see runHeld).
+	handoff []queue.Entry
+
 	// tokenWaiters are closed when no instance of this thread is executing
-	// (the run token is free): inline overflow runners block here.
+	// (the run token is free): inline overflow runners that hold no token
+	// themselves block here.
 	// quietWaiters are closed when the thread is fully quiet (no pending,
 	// no running, token free): Wait blocks here. Both are targeted wakeups
 	// — only goroutines interested in this thread are woken.
@@ -87,8 +95,10 @@ type dispatchShard struct {
 	tq   *queue.ThreadQueue
 	tqst *queue.TQST
 	// inlineRunning counts inline overflow executions in flight for threads
-	// of this shard; they hold run tokens but are invisible to the TQST, so
-	// the quiescence predicates must count them separately. Guarded by mu.
+	// of this shard (inline runners, and workers running a thread's handoff
+	// list after their own instance); they hold run tokens but are
+	// invisible to the TQST, so the quiescence predicates must count them
+	// separately. Guarded by mu.
 	inlineRunning int //dtt:guards mu
 	// rr rotates worker wake targets so one hot shard does not pin all its
 	// wakeups on one worker. Guarded by mu.
@@ -140,7 +150,7 @@ type releaseKey struct {
 //  3. rt.mu, the management lock: Register/Attach/Cancel/Close and registry
 //     mutations. Never taken on the store path. Lock order is rt.mu →
 //     shard locks (ascending index when more than one) → leaf locks
-//     (barMu, relMu); the reverse order is never taken.
+//     (barMu, relMu, holdMu); the reverse order is never taken.
 type Runtime struct {
 	cfg Config
 	sys *mem.System
@@ -203,6 +213,15 @@ type Runtime struct {
 	// Only the single driving goroutine touches it, with all shard locks
 	// held.
 	elig []eligRef
+
+	// holders counts, per goroutine id, the run tokens that goroutine may
+	// hold on the concurrent model: each worker is entered once when it
+	// starts (a worker only stores from inside a body, so it always holds
+	// one), and an inline runner for as long as it holds a token. runInline
+	// asks it whether a caller that found a token taken may wait for it.
+	// Guarded by holdMu, a leaf lock.
+	holdMu  sync.Mutex
+	holders map[uint64]int //dtt:guards holdMu
 
 	// batchMu/batchFree recycle tstoreBatch's grouping scratch. Unlike
 	// elig the scratch must serve concurrent producers, so it is a free
@@ -304,6 +323,7 @@ func New(cfg Config) (*Runtime, error) {
 		for i := 0; i < cfg.Workers; i++ {
 			rt.workerWake[i] = make(chan struct{}, 1)
 		}
+		rt.holders = make(map[uint64]int, cfg.Workers)
 		for i := 0; i < cfg.Workers; i++ {
 			rt.wg.Add(1)
 			go rt.worker(i)
@@ -647,18 +667,25 @@ func (rt *Runtime) tstore(r *Region, i int, v mem.Word) bool {
 	addr := r.buf.Addr(i)
 	// One snapshot walk admits each match straight into its thread's
 	// shard. The thread table is loaded after the registry snapshot, so an
-	// id the snapshot knows is always in range.
-	var inline []queue.Entry
+	// id the snapshot knows is always in range. An overflow collects in a
+	// one-entry stack array, so an overflowing store allocates nothing for
+	// its list unless the word fires several threads that all overflow.
+	var ovf [1]queue.Entry
+	inline := ovf[:0]
 	rt.reg.Snapshot().Each(addr, func(id queue.ThreadID) {
 		sh := rt.shardOf(id)
 		sh.mu.Lock()
-		if rt.admitLocked(sh, rt.threadsSnap()[id], id, addr, g, &inline) {
+		queued, overflowed := rt.admitLocked(sh, rt.threadsSnap()[id], id, addr, g)
+		if queued {
 			rt.settleLocked(sh, 1)
 		}
 		sh.mu.Unlock()
+		if overflowed {
+			inline = append(inline, queue.Entry{Thread: id, Addr: addr})
+		}
 	})
-	for _, e := range inline {
-		rt.runInline(e)
+	if len(inline) > 0 {
+		rt.runInline(inline, g)
 	}
 	if rt.sched != nil {
 		// A triggering store is a preemption point: the deterministic
@@ -700,20 +727,21 @@ func (rt *Runtime) settleLocked(sh *dispatchShard, n int) {
 }
 
 // admitLocked offers one fired (thread, addr) trigger to the thread's
-// queue segment and reports whether it was enqueued. It re-checks coverage
-// against a racing Cancel, then moves fired plus exactly one of
+// queue segment and reports whether it was enqueued (queued) or overflowed
+// under OverflowInline (overflowed). It re-checks coverage against a
+// racing Cancel, then moves fired plus exactly one of
 // enqueued/squashed/overflowed, so the identity Fired = Enqueued +
 // Squashed + Overflowed holds under the shard lock at all times. An
-// overflow under OverflowInline is appended to inline for the caller to
-// run once it holds no shard lock. busy, the queue-depth sample and the
-// worker wakeup are left to the caller, which settles them per entry
-// (tstore) or per shard (admitBatch). Callers hold sh.mu, the shard of id,
-// whose thread-table entry is te.
-func (rt *Runtime) admitLocked(sh *dispatchShard, te *threadEntry, id queue.ThreadID, addr mem.Addr, g uint64, inline *[]queue.Entry) bool {
+// overflowed trigger is the caller's to collect and hand to runInline once
+// it holds no shard lock. busy, the queue-depth sample and the worker
+// wakeup are left to the caller, which settles them per entry (tstore) or
+// per shard (admitBatch). Callers hold sh.mu, the shard of id, whose
+// thread-table entry is te.
+func (rt *Runtime) admitLocked(sh *dispatchShard, te *threadEntry, id queue.ThreadID, addr mem.Addr, g uint64) (queued, overflowed bool) {
 	if !te.covers(addr) {
 		// A concurrent Cancel detached the range between the registry
 		// snapshot and this shard lock; the trigger never happened.
-		return false
+		return false, false
 	}
 	sh.c.fired++
 	if rt.check != nil {
@@ -727,19 +755,18 @@ func (rt *Runtime) admitLocked(sh *dispatchShard, te *threadEntry, id queue.Thre
 		sh.tqst.MarkPending(id)
 		sh.c.enqueued++
 		rt.noteRelease(id, addr)
-		return true
+		return true, false
 	case queue.Squashed:
 		sh.c.squashed++
 		rt.noteRelease(id, addr)
 	case queue.Overflowed:
 		sh.c.overflowed++
 		if rt.cfg.Overflow == queue.OverflowInline {
-			*inline = append(*inline, queue.Entry{Thread: id, Addr: addr})
-		} else {
-			sh.c.dropped++
+			return false, true
 		}
+		sh.c.dropped++
 	}
-	return false
+	return false, false
 }
 
 // firedTrigger is one (thread, trigger address) pair a batch or merge
@@ -863,7 +890,7 @@ func (rt *Runtime) tstoreBatch(r *Region, lo int, vs []mem.Word) int {
 		rt.tel.BatchSize.Observe(int64(len(vs)))
 	}
 	rt.admitBatch(sc, g)
-	rt.finishBatch(sc, changed)
+	rt.finishBatch(sc, changed, g)
 	return changed
 }
 
@@ -889,9 +916,14 @@ func (rt *Runtime) admitBatch(sc *batchScratch, g uint64) {
 		enqueued := 0
 		sh.mu.Lock()
 		for _, ft := range sc.fired {
-			if uint32(ft.id)&rt.shardMask == uint32(s) &&
-				rt.admitLocked(sh, ths[ft.id], ft.id, ft.addr, g, &sc.inline) {
+			if uint32(ft.id)&rt.shardMask != uint32(s) {
+				continue
+			}
+			queued, overflowed := rt.admitLocked(sh, ths[ft.id], ft.id, ft.addr, g)
+			if queued {
 				enqueued++
+			} else if overflowed {
+				sc.inline = append(sc.inline, queue.Entry{Thread: ft.id, Addr: ft.addr})
 			}
 		}
 		if enqueued > 0 {
@@ -901,12 +933,13 @@ func (rt *Runtime) admitBatch(sc *batchScratch, g uint64) {
 	}
 }
 
-// finishBatch runs a batch's inline overflows, returns its scratch, and —
-// under a seeded scheduler, if any word changed — takes the batch's ONE
-// preemption point, at its end. Callers hold no lock.
-func (rt *Runtime) finishBatch(sc *batchScratch, changed int) {
-	for _, e := range sc.inline {
-		rt.runInline(e)
+// finishBatch runs a batch's inline overflows in one runInline call,
+// returns its scratch, and — under a seeded scheduler, if any word changed
+// — takes the batch's ONE preemption point, at its end. g is the caller's
+// goroutine id if it already has it, else 0. Callers hold no lock.
+func (rt *Runtime) finishBatch(sc *batchScratch, changed int, g uint64) {
+	if len(sc.inline) > 0 {
+		rt.runInline(sc.inline, g)
 	}
 	rt.putScratch(sc)
 	if changed > 0 && rt.sched != nil {
@@ -1101,10 +1134,10 @@ func (rt *Runtime) resolveShardLocked(ths []*threadEntry, e queue.Entry) (Trigge
 // one nil check. With telemetry on but tracing off it stays
 // allocation-free: the label context is precomputed at Register and
 // SetGoroutineLabels allocates nothing.
-func (rt *Runtime) runInstance(e queue.Entry, fn ThreadFunc, tg Trigger) bool {
+func (rt *Runtime) runInstance(e queue.Entry, fn ThreadFunc, tg Trigger, g uint64) bool {
 	tel := rt.tel
 	if tel == nil {
-		return rt.invoke(e.Thread, fn, tg)
+		return rt.invoke(e.Thread, fn, tg, g)
 	}
 	sm := tel.Shard(int(uint32(e.Thread) & rt.shardMask))
 	if e.T0 != 0 {
@@ -1130,7 +1163,7 @@ func (rt *Runtime) runInstance(e queue.Entry, fn ThreadFunc, tg Trigger) bool {
 	}
 
 	start := telemetry.Now()
-	ok := rt.invoke(e.Thread, fn, tg)
+	ok := rt.invoke(e.Thread, fn, tg, g)
 	sm.RunDuration.Observe(telemetry.Now() - start)
 
 	if region != nil {
@@ -1149,10 +1182,13 @@ func (rt *Runtime) runInstance(e queue.Entry, fn ThreadFunc, tg Trigger) bool {
 // entry/exit and converting a panic into a failed-run outcome instead of
 // tearing down the process (the paper's hardware squashes a faulting
 // support thread; it never takes down the main thread). ok reports whether
-// the body returned normally.
-func (rt *Runtime) invoke(t ThreadID, fn ThreadFunc, tg Trigger) (ok bool) {
+// the body returned normally. g is the calling goroutine's id, or 0 if the
+// caller has not looked it up; only the sanitizer needs it.
+func (rt *Runtime) invoke(t ThreadID, fn ThreadFunc, tg Trigger, g uint64) (ok bool) {
 	if rt.check != nil {
-		g := goid()
+		if g == 0 {
+			g = goid()
+		}
 		rt.check.EnterSupport(g, t)
 		defer rt.check.ExitSupport(g, t)
 	}
@@ -1167,48 +1203,68 @@ func (rt *Runtime) invoke(t ThreadID, fn ThreadFunc, tg Trigger) (ok bool) {
 	return true
 }
 
-// runInline executes an overflowed trigger synchronously in the triggering
-// thread, honouring per-thread serialisation. When the triggering store
-// came from inside an instance of the same thread — a cascading trigger
-// that found the queue full — the body is re-entered recursively on this
-// goroutine: that preserves one-instance-at-a-time (the nesting is serial)
-// and avoids waiting for ourselves.
-func (rt *Runtime) runInline(e queue.Entry) {
-	// The inline model needs no identity: if the thread is busy while we
-	// are issuing a store, we are necessarily inside its own body. Only the
-	// concurrent model pays for goroutine identity, and only on this
-	// overflow path.
-	var g uint64
-	if rt.concurrent {
+// runInline runs one store call's overflowed triggers — a scalar store's
+// list, or a batch's or merge's sc.inline — on the storing goroutine, in
+// list order: the paper's fallback when the thread queue is full. Entries
+// of one thread that sit next to each other in list form a group, and a
+// group runs back to back under a single run-token acquisition: the token
+// is waited for at most once, its owner published once, and
+// finishShardLocked called once per group, not once per entry.
+//
+// g is the caller's goroutine id, or 0 if the caller has not looked it up.
+// Only the concurrent model needs it, and runInline looks it up at most
+// once per call, never per entry: goid formats a stack trace, which costs
+// far more than a typical body. The inline model needs no identity: if the
+// thread's token is taken while we are issuing a store, we are necessarily
+// inside its own body.
+//
+// When a group's token is taken, the caller either
+//   - holds it itself (the store came from inside an instance of the same
+//     thread on this goroutine): the group runs nested, which keeps one
+//     instance at a time (the nesting is serial) and avoids waiting for
+//     ourselves;
+//   - holds some other thread's token (it is a worker, or an inline runner
+//     further up its stack): it appends the group to the thread's handoff
+//     list and returns. Waiting could deadlock against a holder that waits
+//     for the caller's own token, and the holder runs handed-off entries
+//     before it releases the token;
+//   - or holds no token: it waits for the token, so a producer flooding
+//     the queue is held to the pace of the bodies.
+func (rt *Runtime) runInline(list []queue.Entry, g uint64) {
+	if rt.concurrent && g == 0 {
 		g = goid()
 	}
 	ths := rt.threadsSnap()
-	te := ths[e.Thread]
-	sh := rt.shardOf(e.Thread)
+	for len(list) > 0 {
+		n := 1
+		for n < len(list) && list[n].Thread == list[0].Thread {
+			n++
+		}
+		rt.runInlineGroup(ths, list[:n], g)
+		list = list[n:]
+	}
+}
+
+// runInlineGroup is runInline's step for a group of entries of one thread.
+func (rt *Runtime) runInlineGroup(ths []*threadEntry, group []queue.Entry, g uint64) {
+	t := group[0].Thread
+	te := ths[t]
+	sh := rt.shardOf(t)
 	sh.mu.Lock()
 	for {
-		if !te.covers(e.Addr) {
-			// A Cancel raced in between the overflow and this run; the
-			// work it would have done is cancelled work. Counting it as
-			// dropped keeps Overflowed = InlineRuns + Dropped.
-			sh.c.dropped++
-			sh.mu.Unlock()
-			return
-		}
-		if _, running := sh.tqst.InFlight(e.Thread); !te.running && running == 0 {
+		if _, running := sh.tqst.InFlight(t); !te.running && running == 0 {
 			break
 		}
 		if !rt.concurrent || te.owner == g {
-			// We hold this thread's run token ourselves: recurse.
-			tg, fn := rt.resolveShardLocked(ths, e)
+			// We hold this thread's run token ourselves: recurse. The
+			// frame that took the token runs the handoff list.
 			sh.mu.Unlock()
-			ok := rt.runInstance(e, fn, tg)
-			sh.mu.Lock()
-			sh.c.inlineRuns++
-			if !ok {
-				sh.c.failedRuns++
-				sh.tqst.NoteFailed(e.Thread)
-			}
+			rt.runHeld(sh, te, ths, group, false, g)
+			sh.mu.Unlock()
+			return
+		}
+		if rt.holdsToken(g) {
+			te.handoff = append(te.handoff, group...)
 			sh.mu.Unlock()
 			return
 		}
@@ -1222,28 +1278,88 @@ func (rt *Runtime) runInline(e queue.Entry) {
 	te.owner = g
 	sh.inlineRunning++
 	sh.busy.Add(1)
-	tg, fn := rt.resolveShardLocked(ths, e)
+	rt.noteHolder(g, 1)
 	sh.mu.Unlock()
-
-	ok := rt.runInstance(e, fn, tg)
-
-	sh.mu.Lock()
+	rt.runHeld(sh, te, ths, group, true, g)
 	te.running = false
 	te.owner = 0
 	sh.inlineRunning--
 	sh.busy.Add(-1)
-	sh.c.inlineRuns++
-	if !ok {
-		sh.c.failedRuns++
-		sh.tqst.NoteFailed(e.Thread)
-	}
-	rt.finishShardLocked(sh, e.Thread, ths)
+	rt.finishShardLocked(sh, t, ths)
 	sh.mu.Unlock()
+	rt.noteHolder(g, -1)
+}
+
+// runHeld runs overflowed entries of thread te on the calling goroutine,
+// which holds te's run token: first group, then, if handoff is set, the
+// entries other token holders handed to te, including any handed over
+// while it runs. Only the frame that took the token sets handoff: a nested
+// frame emptying the list would rerun entries an outer frame is walking.
+// Each entry counts as an inline run, or as dropped if a Cancel detached
+// the range since the overflow: the work it would have done is cancelled
+// work, and counting it keeps Overflowed = InlineRuns + Dropped. The
+// caller must not hold sh.mu, te's shard lock; runHeld takes it, releases
+// it across each body, and returns with it held (and, with handoff, the
+// list empty), so the caller can release the token before anything more
+// is handed over.
+func (rt *Runtime) runHeld(sh *dispatchShard, te *threadEntry, ths []*threadEntry, group []queue.Entry, handoff bool, g uint64) {
+	sh.mu.Lock()
+	for i := 0; ; i++ {
+		var e queue.Entry
+		if j := i - len(group); j < 0 {
+			e = group[i]
+		} else if handoff && j < len(te.handoff) {
+			e = te.handoff[j]
+		} else {
+			break
+		}
+		if !te.covers(e.Addr) {
+			sh.c.dropped++
+			continue
+		}
+		tg, fn := rt.resolveShardLocked(ths, e)
+		sh.mu.Unlock()
+		ok := rt.runInstance(e, fn, tg, g)
+		sh.mu.Lock()
+		sh.c.inlineRuns++
+		if !ok {
+			sh.c.failedRuns++
+			sh.tqst.NoteFailed(e.Thread)
+		}
+	}
+	if handoff {
+		te.handoff = te.handoff[:0]
+	}
+}
+
+// noteHolder adds d to the run tokens goroutine g holds, on the concurrent
+// model (see Runtime.holders).
+func (rt *Runtime) noteHolder(g uint64, d int) {
+	if !rt.concurrent {
+		return
+	}
+	rt.holdMu.Lock()
+	if n := rt.holders[g] + d; n > 0 {
+		rt.holders[g] = n
+	} else {
+		delete(rt.holders, g)
+	}
+	rt.holdMu.Unlock()
+}
+
+// holdsToken reports whether goroutine g holds a run token: it is a
+// worker, or an inline runner with a token taken further up its stack.
+func (rt *Runtime) holdsToken(g uint64) bool {
+	rt.holdMu.Lock()
+	defer rt.holdMu.Unlock()
+	return rt.holders[g] > 0
 }
 
 // runShardEntry tries to dispatch one queue entry of sh on the concurrent
 // model: dequeue the oldest entry whose thread's token is free, run it
-// with no lock held, and complete it. It reports whether an entry ran.
+// with no lock held, and complete it. Entries handed off to the thread
+// while it ran run next, before the token is released. It reports whether
+// an entry ran.
 func (rt *Runtime) runShardEntry(sh *dispatchShard, g uint64) bool {
 	sh.mu.Lock()
 	// Loaded under sh.mu: any entry visible in this shard's queue was
@@ -1261,11 +1377,9 @@ func (rt *Runtime) runShardEntry(sh *dispatchShard, g uint64) bool {
 	tg, fn := rt.resolveShardLocked(ths, e)
 	sh.mu.Unlock()
 
-	ok = rt.runInstance(e, fn, tg)
+	ok = rt.runInstance(e, fn, tg, g)
 
 	sh.mu.Lock()
-	te.running = false
-	te.owner = 0
 	if ok {
 		sh.tqst.MarkDone(e.Thread)
 		sh.c.executed++
@@ -1273,6 +1387,17 @@ func (rt *Runtime) runShardEntry(sh *dispatchShard, g uint64) bool {
 		sh.tqst.MarkFailed(e.Thread)
 		sh.c.failedRuns++
 	}
+	if len(te.handoff) > 0 {
+		// The TQST no longer counts this instance, so the hand-off runs
+		// count as inline work while the token stays held; busy carries
+		// over unchanged.
+		sh.inlineRunning++
+		sh.mu.Unlock()
+		rt.runHeld(sh, te, ths, nil, true, g)
+		sh.inlineRunning--
+	}
+	te.running = false
+	te.owner = 0
 	sh.busy.Add(-1)
 	rt.finishShardLocked(sh, e.Thread, ths)
 	sh.mu.Unlock()
@@ -1289,8 +1414,11 @@ func (rt *Runtime) runShardEntry(sh *dispatchShard, g uint64) bool {
 func (rt *Runtime) worker(w int) {
 	defer rt.wg.Done()
 	// goid is stable for the life of this worker goroutine; computing it
-	// once keeps runtime.Stack off the dispatch fast path.
+	// once keeps runtime.Stack off the dispatch fast path. The worker
+	// enters holders before it runs any body, so a store from one of its
+	// bodies always finds it there.
 	g := goid()
+	rt.noteHolder(g, 1)
 	n := len(rt.shards)
 	for {
 		ran := false
@@ -1356,7 +1484,7 @@ func (rt *Runtime) drain(preempt bool) []trace.TaskID {
 			// one goroutine, so no store can re-release the entry here.
 			rec.BeginSupport(te.name, rt.takeRelease(e))
 		}
-		ok = rt.runInstance(e, fn, tg)
+		ok = rt.runInstance(e, fn, tg, 0)
 		if rec != nil {
 			// A failed instance still closes its trace task: whatever it
 			// charged before panicking was really executed.
@@ -1418,13 +1546,22 @@ func (rt *Runtime) pickLocked(ths []*threadEntry, preempt bool) (*dispatchShard,
 	return sh, sh.tq.DequeueAt(ref.idx), true
 }
 
+// goidCalls counts goid calls, so tests can hold the overflow path to its
+// budget of one lookup per store call.
+var goidCalls atomic.Int64
+
 // goid returns the current goroutine's id, parsed from the stack header.
-// It is only used on the queue-overflow slow path, where the cost is
-// immaterial next to the thread body about to run. A parse failure panics:
-// the id guards the recursive-inline deadlock check, and an unparseable id
-// silently disabling that check (as a zero-valued fallback once did) turns
-// a Go version bump into a runtime hang.
+// It is not cheap: runtime.Stack formats a stack trace, measured at
+// 8–15 µs per call on a 2-vCPU VM, against support bodies that often take
+// well under a microsecond, and buf escapes to the heap (one allocation
+// per call). So the concurrent model's overflow path looks it up at most
+// once per store call (see runInline), workers once at start, and the
+// inline model never; only the sanitizer pays it per checked access. A
+// parse failure panics: the id guards the recursive-inline deadlock check,
+// and an unparseable id silently disabling that check (as a zero-valued
+// fallback once did) turns a Go version bump into a runtime hang.
 func goid() uint64 {
+	goidCalls.Add(1)
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
 	s := buf[:n]

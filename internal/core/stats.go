@@ -88,7 +88,11 @@ type Stats struct {
 	Overflowed int64
 	// Dropped counts overflowed triggers discarded under OverflowDrop.
 	Dropped int64
-	// InlineRuns counts overflowed triggers executed in the main thread.
+	// InlineRuns counts overflowed triggers executed in line: by the
+	// goroutine that did the store, or — for a store from inside a support
+	// body on the concurrent model that found the target thread running
+	// elsewhere — by the goroutine running that thread, which takes the
+	// hand-off before it releases the thread.
 	InlineRuns int64
 	// Executed counts queue-dispatched support instances completed.
 	Executed int64

@@ -34,7 +34,7 @@ func (rt *Runtime) TelemetrySnapshot() telemetry.Snapshot {
 			{Name: "dtt_squashed_total", Help: "Triggers absorbed by duplicate squashing.", Value: s.Squashed},
 			{Name: "dtt_overflowed_total", Help: "Triggers that found the queue full.", Value: s.Overflowed},
 			{Name: "dtt_dropped_total", Help: "Overflowed triggers discarded under OverflowDrop.", Value: s.Dropped},
-			{Name: "dtt_inline_runs_total", Help: "Overflowed triggers executed inline in the main thread.", Value: s.InlineRuns},
+			{Name: "dtt_inline_runs_total", Help: "Overflowed triggers executed in line, by the storing goroutine or a hand-off.", Value: s.InlineRuns},
 			{Name: "dtt_executed_total", Help: "Queue-dispatched support instances completed.", Value: s.Executed},
 			{Name: "dtt_failed_runs_total", Help: "Support-thread bodies that panicked.", Value: s.FailedRuns},
 			{Name: "dtt_waits_total", Help: "Wait (twait) operations.", Value: s.Waits},

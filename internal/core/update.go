@@ -272,5 +272,5 @@ func (rt *Runtime) mergePlane(u *updatePlane, block bool) {
 		rt.tel.DeltaOccupancy.Observe(int64(n))
 	}
 	u.mergeMu.Unlock()
-	rt.finishBatch(sc, changed)
+	rt.finishBatch(sc, changed, g)
 }

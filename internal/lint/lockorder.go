@@ -55,6 +55,7 @@ var lockOrderTable = []lockRank{
 	{7, "Runtime.barMu", false, "barrier waiter list (leaf)"},
 	{7, "Runtime.relMu", false, "release-note buffer (leaf)"},
 	{7, "Runtime.batchMu", false, "batch scratch free list (leaf)"},
+	{7, "Runtime.holdMu", false, "run-token holder set (leaf)"},
 	{7, "outbox.mu", false, "per-session reply mailbox (leaf)"},
 	{7, "Checker.mu", false, "sanitizer state (leaf; runtime locks may be held around checker calls, never the reverse)"},
 }

@@ -49,7 +49,11 @@ type OverflowPolicy int
 const (
 	// OverflowInline makes the triggering store execute the support thread
 	// in line in the main thread, as the paper's fallback does. Correctness
-	// is preserved; the store just gets no benefit.
+	// is preserved; the store just gets no benefit. One exception on the
+	// concurrent model: a store issued from inside a support body, whose
+	// target thread is running on another goroutine, hands the trigger to
+	// that goroutine, which runs it before releasing the thread (waiting
+	// instead can deadlock two bodies that trigger each other).
 	OverflowInline OverflowPolicy = iota
 	// OverflowDrop discards the trigger. Only safe for idempotent
 	// recompute-at-wait threads; exposed for failure-injection tests.
